@@ -25,24 +25,24 @@ Dispatcher::setTelemetry(Telemetry *telemetry, int stageIndex)
 ServiceInstance *
 Dispatcher::pick(const std::vector<ServiceInstance *> &instances)
 {
-    std::vector<ServiceInstance *> eligible;
-    eligible.reserve(instances.size());
+    // Reused across picks: one stage submit per hop must not allocate.
+    eligible_.clear();
     for (auto *inst : instances)
         if (inst && !inst->draining())
-            eligible.push_back(inst);
-    if (eligible.empty())
+            eligible_.push_back(inst);
+    if (eligible_.empty())
         return nullptr;
 
     ServiceInstance *chosen = nullptr;
     switch (policy_) {
       case DispatchPolicy::RoundRobin:
-        chosen = pickRoundRobin(eligible);
+        chosen = pickRoundRobin(eligible_);
         break;
       case DispatchPolicy::JoinShortestQueue:
-        chosen = pickShortestQueue(eligible);
+        chosen = pickShortestQueue(eligible_);
         break;
       case DispatchPolicy::WeightedFastest:
-        chosen = pickWeighted(eligible);
+        chosen = pickWeighted(eligible_);
         break;
     }
     if (chosen) {

@@ -55,6 +55,8 @@ class Dispatcher
 
     DispatchPolicy policy_;
     std::size_t rrNext_ = 0;
+    /** Scratch for pick()'s non-draining candidates. */
+    std::vector<ServiceInstance *> eligible_;
 
     // Cached at wiring time so the hot path is one branch + increment.
     Counter *picks_ = nullptr;

@@ -52,7 +52,6 @@ CommandCenter::setTelemetry(Telemetry *telemetry)
 {
     telemetry_ = telemetry;
     audit_ = telemetry ? &telemetry->audit() : nullptr;
-    trace_.setTelemetry(telemetry);
     engine_.setTelemetry(telemetry);
     realloc_.setTelemetry(telemetry);
 
@@ -64,16 +63,13 @@ CommandCenter::setTelemetry(Telemetry *telemetry)
     healthBoostChurn_ = nullptr;
     healthWithdrawChurn_ = nullptr;
     healthFaultRate_ = nullptr;
-    healthRpcRetryRate_ = nullptr;
     boostCounter_ = nullptr;
     launchCounter_ = nullptr;
     withdrawCounter_ = nullptr;
-    retryCounter_ = nullptr;
     faultCounters_.clear();
     prevBoostTotal_ = 0.0;
     prevWithdrawTotal_ = 0.0;
     prevFaultTotal_ = 0.0;
-    prevRetryTotal_ = 0.0;
 
     if (!telemetry_) {
         intervalsCounter_ = nullptr;
@@ -120,16 +116,14 @@ CommandCenter::setTelemetry(Telemetry *telemetry)
         healthBoostChurn_ = &metrics.gauge("health.boost_churn");
         healthWithdrawChurn_ = &metrics.gauge("health.withdraw_churn");
         healthFaultRate_ = &metrics.gauge("health.fault_rate");
-        healthRpcRetryRate_ = &metrics.gauge("health.rpc_retry_rate");
-        // Find-or-create gives the same slots the decision trace, the
-        // node agents and the fault injector increment; counters that
-        // stay unwired this run simply read 0.
+        // Find-or-create gives the same slots the decision emissions
+        // and the fault injector increment; counters that stay unwired
+        // this run simply read 0.
         boostCounter_ = &metrics.counter("decision.freq-boost_total");
         launchCounter_ =
             &metrics.counter("decision.instance-launch_total");
         withdrawCounter_ =
             &metrics.counter("decision.instance-withdraw_total");
-        retryCounter_ = &metrics.counter("rpc.client.retries_total");
         static const char *const kFaultCounters[] = {
             "faults.bus.dropped_total",    "faults.bus.duplicated_total",
             "faults.bus.delayed_total",    "faults.wire.truncated_total",
@@ -176,8 +170,8 @@ CommandCenter::onMessage(const MessagePtr &msg)
         return;
     }
 
-    // Distributed mode: the report arrived as wire bytes. Malformed
-    // buffers are dropped (and counted) rather than trusted.
+    // Wire mode (Scenario::wireReports): the report arrived as bytes.
+    // Malformed buffers are dropped (and counted) rather than trusted.
     if (const auto *wire =
             dynamic_cast<const WireStatsMessage *>(msg.get())) {
         const auto record = decodeStats(wire->bytes);
@@ -224,7 +218,7 @@ CommandCenter::tick()
     ctx.speedups = speedups_;
     ctx.cfg = &cfg_;
     ctx.e2eLatency = &e2e_;
-    ctx.trace = &trace_;
+    ctx.telemetry = telemetry_;
     ctx.audit = (audit_ && audit_->enabled()) ? audit_ : nullptr;
     ctx.actuationFailures = actuationFailCounter_;
     ctx.ranked = identifier_.rank(sim_->now(), *app_);
@@ -248,8 +242,8 @@ CommandCenter::tick()
         sim_->now() - lastWithdraw_ >= cfg_.withdrawInterval) {
         lastWithdraw_ = sim_->now();
         for (const auto id : withdraw_.checkAndWithdraw(ctx.ranked)) {
-            trace_.record(sim_->now(), TraceKind::InstanceWithdraw,
-                          "instance#" + std::to_string(id));
+            emitDecision(telemetry_, sim_->now(),
+                         DecisionKind::InstanceWithdraw, id);
             if (audit_ && audit_->enabled()) {
                 int stage = -1;
                 for (const auto &snap : ctx.ranked) {
@@ -308,10 +302,6 @@ CommandCenter::tick()
                 faults += c->value();
             healthFaultRate_->set(faults - prevFaultTotal_);
             prevFaultTotal_ = faults;
-
-            const double retries = retryCounter_->value();
-            healthRpcRetryRate_->set(retries - prevRetryTotal_);
-            prevRetryTotal_ = retries;
         }
 
         // Close the critical-path scoring window first: the collector

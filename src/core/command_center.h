@@ -64,11 +64,12 @@ class CommandCenter
     void start();
 
     /**
-     * Attach telemetry to the whole control plane: the decision trace
-     * forwards its events, the boost engine and reallocator count their
-     * actions, and every tick() emits a control span plus budget
-     * headroom / per-stage queue gauges and the (volatile, wall-clock)
-     * "control.self_time_usec" histogram. Call before start().
+     * Attach telemetry to the whole control plane: every actuation is
+     * emitted into it (core/decision.h), the boost engine and
+     * reallocator count their actions, and every tick() emits a
+     * control span plus budget headroom / per-stage queue gauges and
+     * the (volatile, wall-clock) "control.self_time_usec" histogram.
+     * Call before start().
      * nullptr detaches.
      */
     void setTelemetry(Telemetry *telemetry);
@@ -77,7 +78,6 @@ class CommandCenter
     void stop();
 
     BottleneckIdentifier &identifier() { return identifier_; }
-    DecisionTrace &trace() { return trace_; }
     const MovingWindow &latencyWindow() const { return e2e_; }
     ControlPolicy &policy() { return *policy_; }
     PowerReallocator &reallocator() { return realloc_; }
@@ -120,7 +120,6 @@ class CommandCenter
     WithdrawMonitor withdraw_;
     std::unique_ptr<ControlPolicy> policy_;
     MovingWindow e2e_;
-    DecisionTrace trace_;
 
     EndpointId endpoint_ = 0;
     EventId loop_ = Simulator::kInvalidEvent;
@@ -154,16 +153,13 @@ class CommandCenter
     Gauge *healthBoostChurn_ = nullptr;
     Gauge *healthWithdrawChurn_ = nullptr;
     Gauge *healthFaultRate_ = nullptr;
-    Gauge *healthRpcRetryRate_ = nullptr;
     Counter *boostCounter_ = nullptr;
     Counter *launchCounter_ = nullptr;
     Counter *withdrawCounter_ = nullptr;
-    Counter *retryCounter_ = nullptr;
     std::vector<Counter *> faultCounters_;
     double prevBoostTotal_ = 0.0;
     double prevWithdrawTotal_ = 0.0;
     double prevFaultTotal_ = 0.0;
-    double prevRetryTotal_ = 0.0;
 };
 
 } // namespace pc

@@ -264,10 +264,9 @@ CuttleSysPolicy::onInterval(ControlContext &ctx)
             if (appStage.withdrawInstance(victim.instanceId, redirect)) {
                 ctx.budget->release(victim.instanceId);
                 ++withdraws;
-                if (ctx.trace)
-                    ctx.trace->record(ctx.sim->now(),
-                                      TraceKind::InstanceWithdraw,
-                                      victim.name);
+                emitDecision(ctx.telemetry, ctx.sim->now(),
+                             DecisionKind::InstanceWithdraw,
+                             victim.name);
             }
         }
 

@@ -31,9 +31,8 @@ frequencyBoost(ControlContext &ctx, const InstanceSnapshot &bn,
             ctx.actuationFailures->add();
         return false;
     }
-    if (ctx.trace)
-        ctx.trace->record(ctx.sim->now(), TraceKind::FrequencyBoost,
-                          bn.name, toLevel);
+    emitDecision(ctx.telemetry, ctx.sim->now(),
+                 DecisionKind::FrequencyBoost, bn.name, toLevel);
     ctx.boostedStages.push_back(bn.stageIndex);
     return true;
 }
@@ -59,9 +58,8 @@ instanceBoost(ControlContext &ctx, const InstanceSnapshot &bn)
         for (auto &pending : victim->stealHalfQueue())
             clone->adopt(std::move(pending));
     }
-    if (ctx.trace)
-        ctx.trace->record(ctx.sim->now(), TraceKind::InstanceLaunch,
-                          clone->name(), cloneLevel);
+    emitDecision(ctx.telemetry, ctx.sim->now(),
+                 DecisionKind::InstanceLaunch, clone->name(), cloneLevel);
     ctx.boostedStages.push_back(bn.stageIndex);
     return clone;
 }
@@ -85,10 +83,8 @@ stepDown(ControlContext &ctx, const InstanceSnapshot &inst)
             ctx.actuationFailures->add();
         return false;
     }
-    if (ctx.trace)
-        ctx.trace->record(ctx.sim->now(),
-                          TraceKind::FrequencyStepDown, inst.name,
-                          cur - 1);
+    emitDecision(ctx.telemetry, ctx.sim->now(),
+                 DecisionKind::FrequencyStepDown, inst.name, cur - 1);
     return true;
 }
 
@@ -99,10 +95,10 @@ FreqBoostPolicy::onInterval(ControlContext &ctx)
 {
     if (ctx.ranked.empty() ||
         ctx.balanceGap() < ctx.cfg->balanceThresholdSec) {
-        if (ctx.trace && !ctx.ranked.empty())
-            ctx.trace->record(ctx.sim->now(),
-                              TraceKind::IntervalSkipped, "balance",
-                              ctx.balanceGap());
+        if (!ctx.ranked.empty())
+            emitDecision(ctx.telemetry, ctx.sim->now(),
+                         DecisionKind::IntervalSkipped, "balance",
+                         ctx.balanceGap());
         return;
     }
     const InstanceSnapshot bn = ctx.ranked.back();
@@ -116,9 +112,10 @@ FreqBoostPolicy::onInterval(ControlContext &ctx)
         const Watts got = ctx.realloc->recycle(
             needed - ctx.budget->headroom(), ctx.ranked,
             bn.instanceId);
-        if (ctx.trace && got.value() > 0.0)
-            ctx.trace->record(ctx.sim->now(), TraceKind::PowerRecycle,
-                              bn.name, got.value());
+        if (got.value() > 0.0)
+            emitDecision(ctx.telemetry, ctx.sim->now(),
+                         DecisionKind::PowerRecycle, bn.name,
+                         got.value());
     }
     const int toLevel =
         ctx.engine->affordableLevel(bn, ctx.budget->headroom());
@@ -130,10 +127,10 @@ InstBoostPolicy::onInterval(ControlContext &ctx)
 {
     if (ctx.ranked.empty() ||
         ctx.balanceGap() < ctx.cfg->balanceThresholdSec) {
-        if (ctx.trace && !ctx.ranked.empty())
-            ctx.trace->record(ctx.sim->now(),
-                              TraceKind::IntervalSkipped, "balance",
-                              ctx.balanceGap());
+        if (!ctx.ranked.empty())
+            emitDecision(ctx.telemetry, ctx.sim->now(),
+                         DecisionKind::IntervalSkipped, "balance",
+                         ctx.balanceGap());
         return;
     }
     const InstanceSnapshot bn = ctx.ranked.back();
@@ -143,9 +140,10 @@ InstBoostPolicy::onInterval(ControlContext &ctx)
     if (ctx.budget->headroom() < cost) {
         const Watts got = ctx.realloc->recycle(
             cost - ctx.budget->headroom(), ctx.ranked, bn.instanceId);
-        if (ctx.trace && got.value() > 0.0)
-            ctx.trace->record(ctx.sim->now(), TraceKind::PowerRecycle,
-                              bn.name, got.value());
+        if (got.value() > 0.0)
+            emitDecision(ctx.telemetry, ctx.sim->now(),
+                         DecisionKind::PowerRecycle, bn.name,
+                         got.value());
     }
     // When not even recycling everything funds a clone the policy is
     // stuck (the Figure 11(b) plateau) — no fallback by design.
@@ -158,18 +156,18 @@ PowerChiefPolicy::onInterval(ControlContext &ctx)
 {
     if (ctx.ranked.empty() ||
         ctx.balanceGap() < ctx.cfg->balanceThresholdSec) {
-        if (ctx.trace && !ctx.ranked.empty())
-            ctx.trace->record(ctx.sim->now(),
-                              TraceKind::IntervalSkipped, "balance",
-                              ctx.balanceGap());
+        if (!ctx.ranked.empty())
+            emitDecision(ctx.telemetry, ctx.sim->now(),
+                         DecisionKind::IntervalSkipped, "balance",
+                         ctx.balanceGap());
         return;
     }
 
     BoostDecision decision = ctx.engine->selectBoosting(ctx.ranked);
-    if (ctx.trace && decision.recycledWatts.value() > 0.0)
-        ctx.trace->record(ctx.sim->now(), TraceKind::PowerRecycle,
-                          ctx.ranked.back().name,
-                          decision.recycledWatts.value());
+    if (decision.recycledWatts.value() > 0.0)
+        emitDecision(ctx.telemetry, ctx.sim->now(),
+                     DecisionKind::PowerRecycle, ctx.ranked.back().name,
+                     decision.recycledWatts.value());
     const InstanceSnapshot bn = ctx.ranked.back();
 
     switch (decision.kind) {

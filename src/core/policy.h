@@ -18,7 +18,7 @@
 #include "core/bottleneck.h"
 #include "core/reallocator.h"
 #include "core/speedup.h"
-#include "core/trace.h"
+#include "core/decision.h"
 #include "hal/cpufreq.h"
 #include "power/budget.h"
 #include "stats/window.h"
@@ -26,6 +26,7 @@
 namespace pc {
 
 class AuditLog;
+class Telemetry;
 
 /** Tuning knobs of the command-center control loop (Tables 2 & 3). */
 struct ControlConfig
@@ -63,8 +64,11 @@ struct ControlContext
     const ControlConfig *cfg = nullptr;
     /** End-to-end latency samples (seconds) over cfg->e2eWindow. */
     const MovingWindow *e2eLatency = nullptr;
-    /** Structured decision log (may be nullptr when tracing is off). */
-    DecisionTrace *trace = nullptr;
+    /**
+     * Telemetry every actuation is emitted into (core/decision.h);
+     * nullptr when telemetry is off.
+     */
+    Telemetry *telemetry = nullptr;
     /**
      * Decision-audit log for policy-authored records (FastCap /
      * CuttleSys interval plans); nullptr when auditing is off.

@@ -104,13 +104,36 @@ summarizeAudit(const AuditLog &audit)
           case AuditDecisionKind::ClusterRebalance:
             ++sum.clusterRebalances;
             break;
-          case AuditDecisionKind::RpcRetry:
           case AuditDecisionKind::ObsAlert:
           case AuditDecisionKind::Count:
             break;
         }
     }
     return sum;
+}
+
+void
+checkRunInvariants(const MultiStageApp &app, const PowerBudget &budget,
+                   int node)
+{
+    const std::string where =
+        node < 0 ? "" : " on node " + std::to_string(node);
+    if (app.completed() + app.residentQueries() != app.submitted())
+        fatal("run broke query conservation%s: "
+              "%llu submitted != %llu completed + %llu resident",
+              where.c_str(),
+              static_cast<unsigned long long>(app.submitted()),
+              static_cast<unsigned long long>(app.completed()),
+              static_cast<unsigned long long>(app.residentQueries()));
+    for (const auto *inst : app.allInstances()) {
+        if (inst->draining())
+            continue;
+        if (budget.levelOf(inst->id()) != inst->level())
+            fatal("run broke the budget ledger%s: instance %s reserved "
+                  "level %d but runs at %d",
+                  where.c_str(), inst->name().c_str(),
+                  budget.levelOf(inst->id()), inst->level());
+    }
 }
 
 RunCritPathSummary
@@ -384,28 +407,7 @@ ExperimentRunner::run(const Scenario &sc,
     sim.runUntil(sc.duration);
     center.stop();
 
-    if (injector) {
-        // Chaos-run invariants: no query may be lost or minted by a
-        // fault (conservation), and the budget ledger must agree with
-        // every live instance's actual level ("ledger == Σ model"),
-        // even after dropped PERF_CTL writes and crash/recovery churn.
-        if (app.completed() + app.residentQueries() != app.submitted())
-            fatal("fault run broke query conservation: "
-                  "%llu submitted != %llu completed + %llu resident",
-                  static_cast<unsigned long long>(app.submitted()),
-                  static_cast<unsigned long long>(app.completed()),
-                  static_cast<unsigned long long>(
-                      app.residentQueries()));
-        for (const auto *inst : app.allInstances()) {
-            if (inst->draining())
-                continue;
-            if (budget.levelOf(inst->id()) != inst->level())
-                fatal("fault run broke the budget ledger: instance "
-                      "%s reserved level %d but runs at %d",
-                      inst->name().c_str(),
-                      budget.levelOf(inst->id()), inst->level());
-        }
-    }
+    checkRunInvariants(app, budget, -1);
 
     result.submitted = app.submitted();
     result.completed = app.completed();

@@ -29,6 +29,8 @@ struct TelemetryConfig;
 class AuditLog;
 class ControlPolicy;
 class CritPathCollector;
+class MultiStageApp;
+class PowerBudget;
 struct ClusterDecision;
 
 /**
@@ -116,6 +118,17 @@ struct RunCritPathSummary
  */
 RunAuditSummary summarizeAudit(const AuditLog &audit);
 RunCritPathSummary summarizeCritPath(const CritPathCollector &cp);
+
+/**
+ * Post-run invariants, checked at the end of every run on every node:
+ * no query was lost or minted (submitted == completed + resident) and
+ * the budget ledger holds every live instance at the level it actually
+ * runs at, even after dropped PERF_CTL writes and crash/recovery
+ * churn. Fatal on violation; @p node names the node of a sharded run
+ * in the diagnostic (-1 for a single-node run).
+ */
+void checkRunInvariants(const MultiStageApp &app,
+                        const PowerBudget &budget, int node);
 
 struct RunResult
 {

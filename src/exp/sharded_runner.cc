@@ -676,33 +676,13 @@ ExperimentRunner::runSharded(const Scenario &sc,
     for (auto &st : stacks)
         st->center->stop();
 
-    // Chaos-run invariants, per group (see the single-node path). The
+    // Post-run invariants, per group (see the single-node path). The
     // spray keeps these intact: every query is submitted to exactly one
     // app, and sprays still in a mailbox at the deadline were never
     // submitted anywhere — identically at any worker count.
-    for (std::size_t g = 0; g < stacks.size(); ++g) {
-        ShardStack &st = *stacks[g];
-        if (!st.injector)
-            continue;
-        if (st.app->completed() + st.app->residentQueries() !=
-            st.app->submitted())
-            fatal("fault run broke query conservation on node %zu: "
-                  "%llu submitted != %llu completed + %llu resident",
-                  g,
-                  static_cast<unsigned long long>(st.app->submitted()),
-                  static_cast<unsigned long long>(st.app->completed()),
-                  static_cast<unsigned long long>(
-                      st.app->residentQueries()));
-        for (const auto *inst : st.app->allInstances()) {
-            if (inst->draining())
-                continue;
-            if (st.budget->levelOf(inst->id()) != inst->level())
-                fatal("fault run broke the budget ledger on node %zu: "
-                      "instance %s reserved level %d but runs at %d",
-                      g, inst->name().c_str(),
-                      st.budget->levelOf(inst->id()), inst->level());
-        }
-    }
+    for (std::size_t g = 0; g < stacks.size(); ++g)
+        checkRunInvariants(*stacks[g]->app, *stacks[g]->budget,
+                           static_cast<int>(g));
 
     // Cluster ledger checks — the post-run leg of the arbiter's
     // conservation invariant: every node's effective cap must sit at

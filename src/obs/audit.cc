@@ -22,7 +22,6 @@ toString(AuditDecisionKind kind)
       case AuditDecisionKind::Select: return "select";
       case AuditDecisionKind::Recycle: return "recycle";
       case AuditDecisionKind::Withdraw: return "withdraw";
-      case AuditDecisionKind::RpcRetry: return "rpc_retry";
       case AuditDecisionKind::StaleSkip: return "stale_skip";
       case AuditDecisionKind::FastCapPlan: return "fastcap_plan";
       case AuditDecisionKind::CuttleSysPlan: return "cuttlesys_plan";
@@ -108,23 +107,6 @@ AuditLog::recordWithdraw(std::int64_t instanceId, int stageIndex,
     rec.stageIndex = stageIndex;
     rec.utilization = utilization;
     rec.utilizationThreshold = threshold;
-    records_.push_back(std::move(rec));
-}
-
-void
-AuditLog::recordRpcRetry(std::uint64_t callId, int attempt,
-                         double backoffSec)
-{
-    if (!enabled_)
-        return;
-    AuditRecord rec;
-    rec.seq = records_.size();
-    rec.t = now_;
-    rec.interval = interval_;
-    rec.kind = AuditDecisionKind::RpcRetry;
-    rec.callId = callId;
-    rec.attempt = attempt;
-    rec.backoffSec = backoffSec;
     records_.push_back(std::move(rec));
 }
 
@@ -365,10 +347,6 @@ recordToJson(const AuditRecord &rec)
         o["utilization_threshold"] =
             JsonValue(rec.utilizationThreshold);
         break;
-      case AuditDecisionKind::RpcRetry:
-        o["attempt"] = JsonValue(rec.attempt);
-        o["backoff_s"] = JsonValue(rec.backoffSec);
-        o["call_id"] = JsonValue(static_cast<double>(rec.callId));
         break;
       case AuditDecisionKind::StaleSkip:
         o["age_s"] = JsonValue(rec.ageSec);
@@ -485,8 +463,6 @@ AuditLog::toJson() const
         count(counts[static_cast<int>(AuditDecisionKind::ObsAlert)]);
     decisions["recycle"] =
         count(counts[static_cast<int>(AuditDecisionKind::Recycle)]);
-    decisions["rpc_retry"] =
-        count(counts[static_cast<int>(AuditDecisionKind::RpcRetry)]);
     decisions["select"] =
         count(counts[static_cast<int>(AuditDecisionKind::Select)]);
     decisions["stale_skip"] =

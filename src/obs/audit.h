@@ -46,7 +46,6 @@ enum class AuditDecisionKind {
     Select,
     Recycle,
     Withdraw,
-    RpcRetry,
     StaleSkip,
     /** One FastCap interval plan (joint frequency re-allocation). */
     FastCapPlan,
@@ -138,14 +137,6 @@ struct AuditRecord
     // --- Withdraw (§6.2) ---
     double utilization = 0.0;
     double utilizationThreshold = 0.0;
-
-    // --- RpcRetry (control-plane hardening, docs/ROBUSTNESS.md) ---
-    /** Correlation id of the retried call. */
-    std::uint64_t callId = 0;
-    /** 1-based attempt number the retry is about to make. */
-    int attempt = 0;
-    /** Backoff waited before the resend (seconds). */
-    double backoffSec = 0.0;
 
     // --- StaleSkip (degraded-telemetry guard; target/stageIndex set) ---
     /** Age of the instance's last report when it was skipped (seconds). */
@@ -253,14 +244,6 @@ class AuditLog
                         double utilization, double threshold);
 
     /**
-     * Append an RpcRetry record (one per resend the client schedules
-     * after a timeout; exhaustion surfaces as RpcStatus::Failed, not
-     * as a record).
-     */
-    void recordRpcRetry(std::uint64_t callId, int attempt,
-                        double backoffSec);
-
-    /**
      * Append a StaleSkip record (one per instance the bottleneck
      * ranking excluded because its telemetry went stale).
      */
@@ -301,8 +284,8 @@ class AuditLog
 
     /**
      * Mark the most recent unactuated Select record of @p kind as
-     * actuated. Fed from the decision trace, whose events fire when the
-     * policy applies a boost.
+     * actuated. Fed from the decision emissions (core/decision.h),
+     * which fire when the policy applies a boost.
      */
     void noteActuation(AuditBoostKind kind);
 

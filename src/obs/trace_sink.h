@@ -8,8 +8,8 @@
  * query records of app/query.h), and the query itself is stitched
  * across tracks with flow events keyed by query id. The control plane
  * gets its own track: one span per command-center adjust interval and
- * one instant event per boost/recycle/withdraw decision forwarded from
- * the DecisionTrace.
+ * one instant event per boost/recycle/withdraw decision emitted by
+ * the control plane (core/decision.h).
  *
  * Tracks are identified by sink-assigned sequential ids, NOT by raw
  * instance ids: Stage::nextInstanceId() is a process-global counter,

@@ -93,14 +93,17 @@ class ShardedEngine
     };
 
     /**
-     * One (src,dst) channel. Padded out so the producer of one column
-     * never false-shares with the producer of the next.
+     * One (src,dst) channel. Padded out to a cache line so the
+     * producer of one column never false-shares with the producer of
+     * the next.
      */
-    struct Mailbox
+    struct alignas(64) Mailbox
     {
         std::vector<MailboxEntry> entries;
         std::uint64_t posted = 0;
     };
+    static_assert(sizeof(Mailbox) == 64,
+                  "a mailbox must fill exactly one cache line");
 
     Mailbox &mailbox(int from, int to)
     {

@@ -233,21 +233,14 @@ TEST(AuditLog, JsonSummaryMatchesRecords)
     EXPECT_DOUBLE_EQ(score->numberOr("realized_s", -1), 2.5);
 }
 
-TEST(AuditLog, RpcRetryAndStaleSkipRecordsRoundTrip)
+TEST(AuditLog, StaleSkipRecordRoundTrips)
 {
     AuditLog log(true);
     log.beginInterval(SimTime::sec(25), 1);
-    log.recordRpcRetry(42, 2, 0.004);
     log.recordStaleSkip(9, 1, 75.0, 60.0);
 
-    ASSERT_EQ(log.records().size(), 2u);
-    const AuditRecord &retry = log.records()[0];
-    EXPECT_EQ(retry.kind, AuditDecisionKind::RpcRetry);
-    EXPECT_EQ(retry.callId, 42u);
-    EXPECT_EQ(retry.attempt, 2);
-    EXPECT_DOUBLE_EQ(retry.backoffSec, 0.004);
-
-    const AuditRecord &stale = log.records()[1];
+    ASSERT_EQ(log.records().size(), 1u);
+    const AuditRecord &stale = log.records()[0];
     EXPECT_EQ(stale.kind, AuditDecisionKind::StaleSkip);
     EXPECT_EQ(stale.targetInstance, 1); // densely remapped id
     EXPECT_EQ(stale.stageIndex, 1);
@@ -257,15 +250,9 @@ TEST(AuditLog, RpcRetryAndStaleSkipRecordsRoundTrip)
     const JsonValue root = parsed(log.toJson().dump());
     const JsonValue *records = root.find("records");
     ASSERT_NE(records, nullptr);
-    ASSERT_EQ(records->asArray().size(), 2u);
+    ASSERT_EQ(records->asArray().size(), 1u);
 
-    const JsonValue &retryJson = records->asArray()[0];
-    EXPECT_EQ(retryJson.stringOr("kind", ""), "rpc_retry");
-    EXPECT_DOUBLE_EQ(retryJson.numberOr("call_id", -1), 42.0);
-    EXPECT_DOUBLE_EQ(retryJson.numberOr("attempt", -1), 2.0);
-    EXPECT_DOUBLE_EQ(retryJson.numberOr("backoff_s", -1), 0.004);
-
-    const JsonValue &staleJson = records->asArray()[1];
+    const JsonValue &staleJson = records->asArray()[0];
     EXPECT_EQ(staleJson.stringOr("kind", ""), "stale_skip");
     EXPECT_DOUBLE_EQ(staleJson.numberOr("target", -1), 1.0);
     EXPECT_DOUBLE_EQ(staleJson.numberOr("stage", -1), 1.0);
@@ -275,7 +262,7 @@ TEST(AuditLog, RpcRetryAndStaleSkipRecordsRoundTrip)
     const JsonValue *decisions =
         root.find("summary")->find("decisions");
     ASSERT_NE(decisions, nullptr);
-    EXPECT_DOUBLE_EQ(decisions->numberOr("rpc_retry", -1), 1.0);
+    EXPECT_EQ(decisions->find("rpc_retry"), nullptr);
     EXPECT_DOUBLE_EQ(decisions->numberOr("stale_skip", -1), 1.0);
     EXPECT_DOUBLE_EQ(decisions->numberOr("select", -1), 0.0);
 }
@@ -284,7 +271,6 @@ TEST(AuditLog, DisabledLogIgnoresRobustnessRecords)
 {
     AuditLog log(false);
     log.beginInterval(SimTime::sec(25), 1);
-    log.recordRpcRetry(1, 2, 0.001);
     log.recordStaleSkip(3, 0, 10.0, 5.0);
     EXPECT_TRUE(log.records().empty());
 }

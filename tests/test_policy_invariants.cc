@@ -11,14 +11,14 @@
  *    reservations, and the allocated total is the sum of the modelled
  *    active power of the live instances;
  *  - stale-telemetry guard: instances excluded from the ranking as
- *    stale are never the subject of a boost/step-down/withdraw
- *    actuation in that interval;
+ *    stale are never boosted, stepped down or withdrawn in that
+ *    interval (per-probe diffs of instance level and liveness);
  *  - determinism: runs are bit-identical (serialized RunResult bytes)
  *    between --jobs 1 and --jobs N, on a clean fabric and under a
  *    lossy FaultPlan.
  */
 
-#include <set>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -114,45 +114,63 @@ TEST_P(PolicyInvariants, BudgetCapAndLedgerAtEveryDecisionPoint)
     EXPECT_GT(result.completed, 0u);
 }
 
+/** Live (non-draining) instance id -> DVFS level. */
+std::map<std::int64_t, int>
+liveLevels(const MultiStageApp &app)
+{
+    std::map<std::int64_t, int> levels;
+    for (int s = 0; s < app.numStages(); ++s)
+        for (const ServiceInstance *inst : app.stage(s).instances())
+            levels[inst->id()] = inst->level();
+    return levels;
+}
+
 TEST_P(PolicyInvariants, StaleInstancesNeverActuatedUnderLossyFabric)
 {
+    // The shared lossy scenario almost never leaves an instance silent
+    // past its 60 s window. Starve the fabric instead: at low load with
+    // a third of the reports dropped, instances go quiet past a 5 s
+    // window in every policy's run, so the guard has skips to enforce.
+    Scenario sc = invariantScenario(GetParam(), true, 150.0);
+    sc.load = LoadProfile::forLevel(sc.workload, LoadLevel::Low, 1800);
+    sc.faults.bus[0].dropRate = 0.3;
+    sc.control.staleWindow = SimTime::sec(5);
+
     ExperimentRunner runner(/*recordTraces=*/true);
     int probes = 0;
     std::size_t staleSeen = 0;
-    std::size_t seenEvents = 0;
+    std::map<std::int64_t, int> before;
     runner.setIntervalProbe([&](const ControlContext &ctx) {
         ++probes;
         checkBudgetAndLedger(ctx);
 
+        // The probe fires after this interval's policy and withdraw
+        // monitor acted, so the diff against the previous decision
+        // point is exactly what the interval actuated: an instance the
+        // ranking skipped as stale must still be live, at its old
+        // level (no boost, step-down or withdraw).
         ASSERT_NE(ctx.identifier, nullptr);
-        std::set<std::string> staleNames;
+        std::map<std::int64_t, int> now = liveLevels(*ctx.app);
         for (const auto &skip : ctx.identifier->lastStaleSkips()) {
             ++staleSeen;
-            for (int s = 0; s < ctx.app->numStages(); ++s)
-                if (const ServiceInstance *inst =
-                        ctx.app->stage(s).findInstance(
-                            skip.instanceId))
-                    staleNames.insert(inst->name());
-        }
-        ASSERT_NE(ctx.trace, nullptr);
-        const auto &events = ctx.trace->events();
-        for (std::size_t i = seenEvents; i < events.size(); ++i) {
-            const TraceEvent &ev = events[i];
-            if (ev.kind != TraceKind::FrequencyBoost &&
-                ev.kind != TraceKind::FrequencyStepDown &&
-                ev.kind != TraceKind::InstanceWithdraw)
+            const auto was = before.find(skip.instanceId);
+            if (was == before.end())
                 continue;
-            EXPECT_EQ(staleNames.count(ev.subject), 0u)
-                << toString(ev.kind) << " actuated stale instance "
-                << ev.subject;
+            const auto is = now.find(skip.instanceId);
+            if (is == now.end())
+                ADD_FAILURE() << "withdrew stale instance#"
+                              << skip.instanceId;
+            else
+                EXPECT_EQ(is->second, was->second)
+                    << "changed the level of stale instance#"
+                    << skip.instanceId;
         }
-        seenEvents = events.size();
+        before = std::move(now);
     });
-    const RunResult result =
-        runner.run(invariantScenario(GetParam(), true, 150.0));
+    const RunResult result = runner.run(sc);
     EXPECT_GT(probes, 0) << "control loop never ticked";
     EXPECT_GT(result.completed, 0u);
-    (void)staleSeen; // Zero skips is legal: staleness is stochastic.
+    EXPECT_GT(staleSeen, 0u) << "no instance went stale; nothing checked";
 }
 
 TEST_P(PolicyInvariants, BitIdenticalAcrossJobsCleanAndLossy)

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "app/pipeline.h"
 #include "exp/runner.h"
+#include "power/budget.h"
 
 namespace pc {
 namespace {
@@ -205,6 +207,24 @@ TEST_F(RunnerTest, ConservationScenarioRuns)
     const auto r = ExperimentRunner().run(sc);
     EXPECT_GT(r.completed, 900u); // ~10 qps * 120 s
     EXPECT_LT(r.avgLatencySec, 0.25);
+}
+
+TEST(RunInvariantsDeath, LedgerDisagreementIsFatal)
+{
+    Simulator sim;
+    const PowerModel model = PowerModel::haswell();
+    CmpChip chip(&sim, &model, 4);
+    MessageBus bus(&sim);
+    MultiStageApp app(&sim, &chip, &bus, "app",
+                      {{"A", 2, 0, DispatchPolicy::JoinShortestQueue}});
+    PowerBudget budget(Watts(100.0), &model);
+    for (const auto *inst : app.allInstances())
+        ASSERT_TRUE(budget.allocate(inst->id(), inst->level()));
+    checkRunInvariants(app, budget, -1); // consistent: returns
+
+    budget.release(app.allInstances().front()->id());
+    EXPECT_EXIT(checkRunInvariants(app, budget, 3),
+                testing::ExitedWithCode(1), "budget ledger on node 3");
 }
 
 } // namespace

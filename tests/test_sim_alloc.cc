@@ -283,6 +283,47 @@ TEST_F(SimAllocTest, SteadyStateWithdrawScanAllocatesOnlyTheResult)
     EXPECT_LE(scanAllocs, 32u);
 }
 
+TEST_F(SimAllocTest, SteadyStateStageDispatchIsAllocationFree)
+{
+    // MultiStageApp::submit -> Stage::submit -> Dispatcher::pick ->
+    // ServiceInstance::enqueue. Once the stage's live-instance and the
+    // dispatcher's candidate scratch vectors have grown, a dispatch
+    // allocates nothing. The queries are built before the measured
+    // region, and no instance queues more than a std::deque chunk
+    // holds, so queue growth stays out of the count.
+    Simulator sim;
+    const PowerModel model = PowerModel::haswell();
+    CmpChip chip(&sim, &model, 8);
+    MessageBus bus(&sim);
+    constexpr int kInstances = 4;
+    std::vector<StageSpec> specs = {
+        {"A", kInstances, 0, DispatchPolicy::JoinShortestQueue},
+    };
+    MultiStageApp app(&sim, &chip, &bus, "app", specs);
+
+    constexpr int kPerInstance = 8;
+    std::vector<QueryPtr> queries;
+    for (int i = 0; i < kInstances * (1 + kPerInstance); ++i)
+        queries.push_back(std::make_shared<Query>(
+            i + 1, sim.now(), std::vector<WorkDemand>{{1.0, 0.0}}));
+
+    // Warm-up: one query per instance starts its service.
+    for (int i = 0; i < kInstances; ++i)
+        app.submit(std::move(queries[static_cast<std::size_t>(i)]));
+
+    const std::uint64_t before = allocationCount();
+    for (std::size_t i = kInstances; i < queries.size(); ++i)
+        app.submit(std::move(queries[i]));
+    EXPECT_EQ(allocationCount() - before, 0u)
+        << "allocations over " << kInstances * kPerInstance
+        << " dispatches";
+
+    // Join-shortest-queue spread the burst evenly.
+    for (const ServiceInstance *inst : app.stage(0).instances())
+        EXPECT_EQ(inst->waitingCount(),
+                  static_cast<std::size_t>(kPerInstance));
+}
+
 TEST_F(SimAllocTest, OversizedCaptureFallsBackToOneAllocation)
 {
     // Contract boundary: a capture beyond the inline buffer still

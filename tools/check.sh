@@ -13,7 +13,9 @@
 # --trace-out/--metrics-out/--audit-out under the asan build and the
 # produced files are checked structurally with trace-validate (valid
 # JSON, monotone spans, resolvable flow ids, decision events present,
-# audit records consistent with their summary). Then trace-diff
+# audit records consistent with their summary, and the decision log
+# cross-checked: per kind, decision instants == decision.<kind>_total
+# counter). Then trace-diff
 # replays the pinned golden Fig. 11 scenario and gates its latency and
 # prediction numbers against tests/golden/fig11_trace.json.
 #
@@ -75,6 +77,8 @@ echo "=== sharded engine under TSan ==="
     --cluster-policy=proportional --rebalance-interval=2 >/dev/null
 
 echo "=== trace validation ==="
+# Passing --trace and --metrics of one single-node run together also
+# cross-checks the two views of the decision log, kind by kind.
 tracedir="$(mktemp -d)"
 trap 'rm -rf "${tracedir}"' EXIT
 ./build-asan/tools/powerchief-cli \

@@ -26,6 +26,12 @@
  * controller block whose counts are internally consistent, and a
  * per-interval log with monotone timestamps.
  *
+ * Given both --trace and --metrics of a single-node run, the two views
+ * of the control plane's decision log are cross-checked: for every
+ * kind, the number of "decision" instants equals the kind's
+ * "decision.<kind>_total" counter (both are emitted together, once per
+ * actuation; core/decision.h).
+ *
  * Sharded runs (scenarios with node groups; docs/PERFORMANCE.md) are
  * handled transparently: a merged Chrome trace is validated per pid
  * (one track group per node, pid-local flow ids), and the other four
@@ -49,6 +55,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -69,6 +76,10 @@ struct TraceSummary
     std::size_t instants = 0;
     std::size_t decisions = 0;
     std::size_t flows = 0;
+    /** Decision instants per kind (the instant's name). */
+    std::map<std::string, std::size_t> decisionsByKind;
+    /** Distinct pids: one per node of a merged sharded trace. */
+    std::size_t pids = 0;
 };
 
 [[noreturn]] void
@@ -212,8 +223,10 @@ validateTrace(const std::string &path)
           }
           case 'i':
             ++summary.instants;
-            if (ev.stringOr("cat", "") == "decision")
+            if (ev.stringOr("cat", "") == "decision") {
                 ++summary.decisions;
+                ++summary.decisionsByKind[name.asString()];
+            }
             break;
           case 's': {
             const double id = requireNumber(ev, "id", i);
@@ -246,6 +259,7 @@ validateTrace(const std::string &path)
     if (!openFlows.empty())
         bad(std::to_string(openFlows.size()) +
             " flow(s) started but never finished");
+    summary.pids = lastTsByPid.size();
     return summary;
 }
 
@@ -255,7 +269,6 @@ struct AuditSummary
     std::size_t selects = 0;
     std::size_t recycles = 0;
     std::size_t withdraws = 0;
-    std::size_t rpcRetries = 0;
     std::size_t staleSkips = 0;
     std::size_t fastcapPlans = 0;
     std::size_t cuttlesysPlans = 0;
@@ -336,15 +349,6 @@ validateAuditDoc(const JsonValue &root, const std::string &path)
             requireNumber(rec, "target", i);
             requireNumber(rec, "utilization", i);
             requireNumber(rec, "utilization_threshold", i);
-        } else if (kind.asString() == "rpc_retry") {
-            ++counts.rpcRetries;
-            requireNumber(rec, "call_id", i);
-            requireNumber(rec, "backoff_s", i);
-            // A retry record exists only for retransmissions, which
-            // start at attempt 2.
-            if (requireNumber(rec, "attempt", i) < 2.0)
-                bad("audit record " + std::to_string(i) +
-                    " rpc_retry \"attempt\" below 2");
         } else if (kind.asString() == "stale_skip") {
             ++counts.staleSkips;
             requireNumber(rec, "target", i);
@@ -473,7 +477,6 @@ validateAuditDoc(const JsonValue &root, const std::string &path)
     check("select", counts.selects);
     check("recycle", counts.recycles);
     check("withdraw", counts.withdraws);
-    check("rpc_retry", counts.rpcRetries);
     check("stale_skip", counts.staleSkips);
     check("fastcap_plan", counts.fastcapPlans);
     check("cuttlesys_plan", counts.cuttlesysPlans);
@@ -499,7 +502,6 @@ validateAudit(const std::string &path)
             total.selects += one.selects;
             total.recycles += one.recycles;
             total.withdraws += one.withdraws;
-            total.rpcRetries += one.rpcRetries;
             total.staleSkips += one.staleSkips;
             total.fastcapPlans += one.fastcapPlans;
             total.cuttlesysPlans += one.cuttlesysPlans;
@@ -574,7 +576,6 @@ validateMetricsDoc(const JsonValue &root, const std::string &path)
     const JsonValue *counters = root.find("counters");
     for (const auto &[name, value] : counters->asObject()) {
         if (name.rfind("faults.", 0) != 0 &&
-            name.rfind("rpc.client.", 0) != 0 &&
             name.rfind("control.", 0) != 0)
             continue;
         if (!value.isNumber() || value.asNumber() < 0.0)
@@ -583,17 +584,57 @@ validateMetricsDoc(const JsonValue &root, const std::string &path)
     }
 }
 
-void
+JsonValue
 validateMetrics(const std::string &path)
 {
-    const JsonValue root = parseFile(path);
+    JsonValue root = parseFile(path);
     if (const JsonArray *docs = shardedDocs(root, path, "metrics")) {
         for (std::size_t g = 0; g < docs->size(); ++g)
             validateMetricsDoc((*docs)[g],
                                path + "#node" + std::to_string(g));
-        return;
+        return root;
     }
     validateMetricsDoc(root, path);
+    return root;
+}
+
+/**
+ * Cross-check a single-node run's decision instants against its
+ * "decision.<kind>_total" counters, kind by kind. A kind that never
+ * fired has neither (its counter is created on first emission), so
+ * an absent counter reads 0. Sharded runs are skipped: their trace
+ * and metrics are per-node documents.
+ */
+void
+crossCheckDecisions(const TraceSummary &trace,
+                    const std::string &tracePath,
+                    const JsonValue &metrics,
+                    const std::string &metricsPath)
+{
+    if (trace.pids > 1 || shardedDocs(metrics, metricsPath, "metrics"))
+        return;
+    // kind -> (instants, counter)
+    std::map<std::string, std::pair<double, double>> byKind;
+    for (const auto &[kind, n] : trace.decisionsByKind)
+        byKind[kind].first = static_cast<double>(n);
+    for (const auto &[name, value] :
+         metrics.find("counters")->asObject()) {
+        std::string_view kind = name;
+        if (!kind.starts_with("decision.") || !kind.ends_with("_total"))
+            continue;
+        kind.remove_prefix(std::string_view("decision.").size());
+        kind.remove_suffix(std::string_view("_total").size());
+        byKind[std::string(kind)].second = value.asNumber();
+    }
+    for (const auto &[kind, n] : byKind) {
+        if (n.first == n.second)
+            continue;
+        std::ostringstream msg;
+        msg << "'" << tracePath << "' holds " << n.first << " \"" << kind
+            << "\" decision instants but '" << metricsPath
+            << "' counts decision." << kind << "_total = " << n.second;
+        bad(msg.str());
+    }
 }
 
 struct TimeseriesSummary
@@ -1062,7 +1103,10 @@ main(int argc, char **argv)
                     summary.decisions, summary.flows);
     }
     if (!metricsPath.empty()) {
-        validateMetrics(metricsPath);
+        const JsonValue metrics = validateMetrics(metricsPath);
+        if (!tracePath.empty())
+            crossCheckDecisions(summary, tracePath, metrics,
+                                metricsPath);
         std::printf("%s: ok\n", metricsPath.c_str());
     }
     if (!auditPath.empty()) {
@@ -1071,12 +1115,12 @@ main(int argc, char **argv)
             audit.records == 0)
             bad("'" + auditPath + "' contains no decision records");
         std::printf("%s: ok (%zu records: %zu select [%zu scored], "
-                    "%zu recycle, %zu withdraw, %zu rpc_retry, "
+                    "%zu recycle, %zu withdraw, "
                     "%zu stale_skip, %zu plan, "
                     "%zu cluster_rebalance)\n",
                     auditPath.c_str(), audit.records, audit.selects,
                     audit.scored, audit.recycles, audit.withdraws,
-                    audit.rpcRetries, audit.staleSkips,
+                    audit.staleSkips,
                     audit.fastcapPlans + audit.cuttlesysPlans,
                     audit.clusterRebalances);
     }
