@@ -1,7 +1,6 @@
 #include "core/bottleneck.h"
 
 #include <algorithm>
-#include <array>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -113,8 +112,10 @@ BottleneckIdentifier::rank(SimTime now, const MultiStageApp &app)
             if (stats && !stats->serving.empty()) {
                 snap.avgQueuingSec = stats->queuing.mean();
                 snap.avgServingSec = stats->serving.mean();
-                snap.p99QueuingSec = stats->queuing.quantile(0.99);
-                snap.p99ServingSec = stats->serving.quantile(0.99);
+                if (metric_->readsTailQuantiles()) {
+                    snap.p99QueuingSec = stats->queuing.quantile(0.99);
+                    snap.p99ServingSec = stats->serving.quantile(0.99);
+                }
             }
             snap.metric = metric_->score(snap);
             out.push_back(std::move(snap));
@@ -142,19 +143,6 @@ BottleneckIdentifier::stageRealizedDelaySec(int stage) const
     return stats.queuing.max() + stats.serving.mean();
 }
 
-double
-BottleneckIdentifier::stageDelayQuantileSec(int stage, double q) const
-{
-    if (stage < 0 ||
-        static_cast<std::size_t>(stage) >= perStage_.size())
-        return 0.0;
-    const InstanceStats &stats =
-        perStage_[static_cast<std::size_t>(stage)];
-    if (stats.serving.empty())
-        return 0.0;
-    return stats.queuing.quantile(q) + stats.serving.quantile(q);
-}
-
 void
 BottleneckIdentifier::stageDelayQuantiles(int stage, const double *qs,
                                           double *out,
@@ -170,13 +158,11 @@ BottleneckIdentifier::stageDelayQuantiles(int stage, const double *qs,
     }
     const InstanceStats &stats =
         perStage_[static_cast<std::size_t>(stage)];
-    // One sort per window for all requested quantiles.
-    std::array<double, 8> queuing{}, serving{};
-    const std::size_t m = std::min<std::size_t>(n, queuing.size());
-    stats.queuing.quantiles(qs, queuing.data(), m);
-    stats.serving.quantiles(qs, serving.data(), m);
-    for (std::size_t i = 0; i < m; ++i)
-        out[i] = queuing[i] + serving[i];
+    servingQs_.resize(n);
+    stats.queuing.quantiles(qs, out, n);
+    stats.serving.quantiles(qs, servingQs_.data(), n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] += servingQs_[i];
 }
 
 InstanceSnapshot

@@ -33,6 +33,13 @@ class BottleneckMetric
     virtual ~BottleneckMetric() = default;
     virtual const char *name() const = 0;
     virtual double score(const InstanceSnapshot &s) const = 0;
+
+    /**
+     * Whether score() reads the p99 fields of its snapshot. rank()
+     * computes those two quantiles per instance only when this is true;
+     * otherwise they stay 0.
+     */
+    virtual bool readsTailQuantiles() const { return false; }
 };
 
 /** Eq. 1: Lᵢ × q̄ᵢ + s̄ᵢ — history plus realtime load. */
@@ -95,6 +102,8 @@ class TailProcessingMetric : public BottleneckMetric
     {
         return s.p99QueuingSec + s.p99ServingSec;
     }
+
+    bool readsTailQuantiles() const override { return true; }
 };
 
 class BottleneckIdentifier
@@ -167,17 +176,12 @@ class BottleneckIdentifier
     double stageRealizedDelaySec(int stage) const;
 
     /**
-     * Queuing-plus-serving delay quantile @p q for @p stage over its
-     * aggregate window (seconds); 0 when the stage has no samples.
-     * Read-only like stageRealizedDelaySec — never evicts — so the
-     * controller-health taps stay pure observers.
-     */
-    double stageDelayQuantileSec(int stage, double q) const;
-
-    /**
-     * @p n delay quantiles of @p stage at once — one sort of each
-     * underlying window instead of one per quantile, since the health
-     * taps read p95 and p99 together every control interval.
+     * @p n queuing-plus-serving delay quantiles of @p stage over its
+     * aggregate window (seconds), all zeros when the stage has no
+     * samples: one pass over each underlying window for all of them,
+     * since the health taps read p95 and p99 together every control
+     * interval. Read-only like stageRealizedDelaySec — never evicts —
+     * so the controller-health taps stay pure observers.
      */
     void stageDelayQuantiles(int stage, const double *qs, double *out,
                              std::size_t n) const;
@@ -218,6 +222,8 @@ class BottleneckIdentifier
     // no history of their own yet (e.g. a fresh clone); stage indexes
     // are small and dense already.
     std::vector<InstanceStats> perStage_;
+    /** stageDelayQuantiles' serving-window results, reused. */
+    mutable std::vector<double> servingQs_;
 
     // Stale-window guard state.
     SimTime staleWindow_;

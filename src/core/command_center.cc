@@ -242,8 +242,16 @@ CommandCenter::tick()
         sim_->now() - lastWithdraw_ >= cfg_.withdrawInterval) {
         lastWithdraw_ = sim_->now();
         for (const auto id : withdraw_.checkAndWithdraw(ctx.ranked)) {
+            // Named from its stage, not ctx.ranked: an instance the
+            // ranking skipped as stale can still be withdrawn, and it
+            // stays in its stage until the drain reaps it.
+            std::string_view name;
+            for (int s = 0; s < app_->numStages() && name.empty(); ++s) {
+                if (const auto *inst = app_->stage(s).findInstance(id))
+                    name = inst->name();
+            }
             emitDecision(telemetry_, sim_->now(),
-                         DecisionKind::InstanceWithdraw, id);
+                         DecisionKind::InstanceWithdraw, name);
             if (audit_ && audit_->enabled()) {
                 int stage = -1;
                 for (const auto &snap : ctx.ranked) {
@@ -271,7 +279,7 @@ CommandCenter::tick()
         }
 
         if (healthE2eP95_) {
-            // Both quantiles of each window in one sort (the taps are
+            // Both quantiles of each window in one pass (the taps are
             // the dominant sampling cost; see MovingWindow::quantiles).
             static constexpr double kTailQs[2] = {0.95, 0.99};
             double tails[2];

@@ -20,12 +20,9 @@ toString(DecisionKind kind)
     return "?";
 }
 
-namespace {
-
-template <typename SubjectFn>
 void
-emit(Telemetry *telemetry, SimTime t, DecisionKind kind, double value,
-     const SubjectFn &subject)
+emitDecision(Telemetry *telemetry, SimTime t, DecisionKind kind,
+             std::string_view subject, double value)
 {
     if (!telemetry)
         return;
@@ -45,30 +42,11 @@ emit(Telemetry *telemetry, SimTime t, DecisionKind kind, double value,
             .add(value);
     if (telemetry->tracing()) {
         JsonObject args;
-        args["subject"] = JsonValue(subject());
+        args["subject"] = JsonValue(std::string(subject));
         args["value"] = JsonValue(value);
         telemetry->trace().instant(TraceSink::kControlTrack, name,
                                    "decision", t, std::move(args));
     }
-}
-
-} // namespace
-
-void
-emitDecision(Telemetry *telemetry, SimTime t, DecisionKind kind,
-             std::string_view subject, double value)
-{
-    emit(telemetry, t, kind, value,
-         [subject] { return std::string(subject); });
-}
-
-void
-emitDecision(Telemetry *telemetry, SimTime t, DecisionKind kind,
-             std::int64_t instanceId, double value)
-{
-    emit(telemetry, t, kind, value, [instanceId] {
-        return "instance#" + std::to_string(instanceId);
-    });
 }
 
 } // namespace pc

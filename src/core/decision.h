@@ -15,7 +15,6 @@
 #ifndef PC_CORE_DECISION_H
 #define PC_CORE_DECISION_H
 
-#include <cstdint>
 #include <string_view>
 
 #include "common/time.h"
@@ -43,13 +42,6 @@ const char *toString(DecisionKind kind);
  */
 void emitDecision(Telemetry *telemetry, SimTime t, DecisionKind kind,
                   std::string_view subject, double value = 0.0);
-
-/**
- * Same, for a decision naming its instance by id: the subject
- * "instance#<id>" is formatted only when the trace sink records it.
- */
-void emitDecision(Telemetry *telemetry, SimTime t, DecisionKind kind,
-                  std::int64_t instanceId, double value = 0.0);
 
 } // namespace pc
 

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/time.h"
 
 namespace pc {
@@ -88,18 +89,26 @@ class MovingWindow
     }
 
     /**
-     * @p n exact quantiles with ONE copy+sort of the window — the
-     * health taps read p95 and p99 of the same window every control
-     * interval, and sorting twice would double the dominant cost of
-     * sampling. Empty windows yield all zeros. The sort scratch is
-     * reused across calls (single-writer, like every stats container
-     * here).
+     * @p n exact quantiles with ONE copy of the window — the health
+     * taps read p95 and p99 of the same window every control interval.
+     * No full sort: only the order statistics the interpolation reads
+     * (ranks lo and lo+1 per quantile) are selected, by nth_element on
+     * successive suffixes of the copy, so each selected slot holds
+     * exactly what a sort would have put there and the results are
+     * bit-identical to sorting. Empty windows yield all zeros; a q
+     * outside [0,1] panics. The scratch buffers are reused across calls
+     * (single-writer, like every stats container here).
      */
     void
     quantiles(const double *qs, double *out, std::size_t n) const
     {
-        // Asking for zero quantiles must not pay the copy+sort (the
-        // cluster arbiter's report path may probe conditionally).
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!(qs[i] >= 0.0 && qs[i] <= 1.0))
+                panic("MovingWindow::quantiles: q=%g outside [0, 1]",
+                      qs[i]);
+        }
+        // Asking for zero quantiles must not pay the copy (the cluster
+        // arbiter's report path may probe conditionally).
         if (n == 0)
             return;
         if (count_ == 0) {
@@ -111,12 +120,29 @@ class MovingWindow
         scratch_.reserve(count_);
         for (std::size_t i = 0; i < count_; ++i)
             scratch_.push_back(buf_[wrap(head_ + i)].value);
-        std::sort(scratch_.begin(), scratch_.end());
+        const std::size_t last = count_ - 1;
+        ranks_.clear();
         for (std::size_t i = 0; i < n; ++i) {
-            const double rank =
-                qs[i] * static_cast<double>(scratch_.size() - 1);
+            const auto lo = static_cast<std::size_t>(
+                qs[i] * static_cast<double>(last));
+            ranks_.push_back(lo);
+            ranks_.push_back(std::min(lo + 1, last));
+        }
+        std::sort(ranks_.begin(), ranks_.end());
+        // Every slot before `from` is already a final order statistic
+        // and no larger than anything after it.
+        std::size_t from = 0;
+        for (const std::size_t r : ranks_) {
+            if (r < from)
+                continue;
+            std::nth_element(scratch_.begin() + from, scratch_.begin() + r,
+                             scratch_.end());
+            from = r + 1;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            const double rank = qs[i] * static_cast<double>(last);
             const auto lo = static_cast<std::size_t>(rank);
-            const auto hi = std::min(lo + 1, scratch_.size() - 1);
+            const auto hi = std::min(lo + 1, last);
             const double frac = rank - static_cast<double>(lo);
             out[i] = scratch_[lo] * (1.0 - frac) + scratch_[hi] * frac;
         }
@@ -153,8 +179,9 @@ class MovingWindow
     std::vector<Sample> buf_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
-    /** Reusable quantile sort buffer (see quantiles()). */
+    /** Reusable quantile buffers (see quantiles()). */
     mutable std::vector<double> scratch_;
+    mutable std::vector<std::size_t> ranks_;
 };
 
 } // namespace pc

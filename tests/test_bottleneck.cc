@@ -64,9 +64,11 @@ class IdentifierTest : public testing::Test
                                               specs);
     }
 
-    /** Report one query that spent (q, s) seconds at instance @p inst. */
+    /** Report one query that spent (q, s) seconds at instance @p inst
+     *  to @p into (the fixture's identifier by default). */
     void
-    report(const ServiceInstance *inst, double q, double s, SimTime at)
+    report(const ServiceInstance *inst, double q, double s, SimTime at,
+           BottleneckIdentifier *into = nullptr)
     {
         Query query(nextId++, SimTime::zero(),
                     {WorkDemand{}, WorkDemand{}});
@@ -77,7 +79,7 @@ class IdentifierTest : public testing::Test
         hop.started = SimTime::sec(q);
         hop.finished = SimTime::sec(q + s);
         query.addHop(hop);
-        identifier.observe(at, query);
+        (into ? *into : identifier).observe(at, query);
     }
 
     Simulator sim;
@@ -247,14 +249,84 @@ TEST_F(IdentifierTest, SnapshotCarriesIdentity)
 
 TEST_F(IdentifierTest, P99FieldsPopulated)
 {
+    // Only a metric that reads the tails gets them computed.
+    BottleneckIdentifier tail(SimTime::sec(50),
+                              std::make_unique<TailProcessingMetric>());
     const auto *a = app->stage(0).instances()[0];
     for (int i = 1; i <= 100; ++i)
-        report(a, 0.0, static_cast<double>(i) / 100.0, SimTime::sec(1));
-    auto ranked = identifier.rank(SimTime::sec(1), *app);
+        report(a, 0.0, static_cast<double>(i) / 100.0, SimTime::sec(1),
+               &tail);
+    auto ranked = tail.rank(SimTime::sec(1), *app);
     const auto &snapA = *std::find_if(
         ranked.begin(), ranked.end(),
         [&](const auto &s) { return s.instanceId == a->id(); });
     EXPECT_NEAR(snapA.p99ServingSec, 0.99, 0.02);
+    EXPECT_DOUBLE_EQ(snapA.metric,
+                     snapA.p99QueuingSec + snapA.p99ServingSec);
+}
+
+/** Eq. 1, but declaring that it reads the p99 fields. */
+class TailReadingPowerChiefMetric : public PowerChiefMetric
+{
+  public:
+    bool readsTailQuantiles() const override { return true; }
+};
+
+TEST_F(IdentifierTest, DefaultMetricSkipsP99sWithoutChangingTheRanking)
+{
+    BottleneckIdentifier withTails(
+        SimTime::sec(50), std::make_unique<TailReadingPowerChiefMetric>());
+    const auto *a = app->stage(0).instances()[0];
+    const auto *b0 = app->stage(1).instances()[0];
+    const auto *b1 = app->stage(1).instances()[1];
+    for (int i = 1; i <= 50; ++i) {
+        const SimTime at = SimTime::msec(20 * i);
+        const double x = static_cast<double>(i % 7) / 10.0;
+        for (BottleneckIdentifier *id : {&identifier, &withTails}) {
+            report(a, 0.1 * x, 0.5 + x, at, id);
+            report(b0, x, 0.2, at, id);
+            report(b1, 0.05, 0.4 + 2 * x, at, id);
+        }
+    }
+    EXPECT_FALSE(identifier.metric().readsTailQuantiles());
+    const auto plain = identifier.rank(SimTime::sec(1), *app);
+    const auto tails = withTails.rank(SimTime::sec(1), *app);
+    ASSERT_EQ(plain.size(), 3u);
+    ASSERT_EQ(tails.size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+        EXPECT_EQ(plain[i].instanceId, tails[i].instanceId);
+        EXPECT_EQ(plain[i].metric, tails[i].metric);
+        EXPECT_EQ(plain[i].avgQueuingSec, tails[i].avgQueuingSec);
+        EXPECT_EQ(plain[i].avgServingSec, tails[i].avgServingSec);
+        EXPECT_EQ(plain[i].p99QueuingSec, 0.0);
+        EXPECT_EQ(plain[i].p99ServingSec, 0.0);
+        EXPECT_GT(tails[i].p99ServingSec, 0.0);
+    }
+}
+
+TEST_F(IdentifierTest, StageDelayQuantilesFillEveryRequestedSlot)
+{
+    // More quantiles than any fixed-size buffer would hold, each equal
+    // to the sum of the stage's queuing and serving window quantiles.
+    const auto *b0 = app->stage(1).instances()[0];
+    MovingWindow queuing(SimTime::sec(50)), serving(SimTime::sec(50));
+    for (int i = 1; i <= 40; ++i) {
+        const double q = 0.01 * i;
+        report(b0, q, 0.5, SimTime::sec(1));
+        queuing.add(SimTime::sec(1), SimTime::sec(q).toSec());
+        serving.add(SimTime::sec(1),
+                    (SimTime::sec(q + 0.5) - SimTime::sec(q)).toSec());
+    }
+    std::vector<double> qs;
+    for (int i = 0; i <= 11; ++i)
+        qs.push_back(i / 11.0);
+    std::vector<double> out(qs.size(), -1.0);
+    identifier.stageDelayQuantiles(1, qs.data(), out.data(), qs.size());
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+        EXPECT_EQ(out[i],
+                  queuing.quantile(qs[i]) + serving.quantile(qs[i]))
+            << "q " << qs[i];
+    }
 }
 
 TEST_F(IdentifierTest, GarbageCollectDropsDeadInstances)

@@ -253,7 +253,7 @@ TEST_F(DecisionLog, ForwardsRecordsIntoTelemetry)
     emitDecision(&telemetry, SimTime::sec(7), DecisionKind::PowerRecycle,
                  "ASR_1", 0.5);
     emitDecision(&telemetry, SimTime::sec(8),
-                 DecisionKind::InstanceWithdraw, std::int64_t{7});
+                 DecisionKind::InstanceWithdraw, "B_2");
 
     MetricsRegistry &metrics = telemetry.metrics();
     EXPECT_DOUBLE_EQ(
@@ -271,12 +271,12 @@ TEST_F(DecisionLog, ForwardsRecordsIntoTelemetry)
     EXPECT_EQ(dump.find("counters")->find("decision.instance-launch_total"),
               nullptr);
 
-    // One instant event per decision on the control track; an id
-    // subject is formatted as "instance#<id>".
+    // One instant event per decision on the control track, naming its
+    // subject.
     EXPECT_EQ(telemetry.trace().numEvents(), 4u);
     std::ostringstream out;
     telemetry.trace().writeChromeTrace(out);
-    EXPECT_NE(out.str().find("\"instance#7\""), std::string::npos);
+    EXPECT_NE(out.str().find("\"subject\":\"B_2\""), std::string::npos);
 
     // Without telemetry an emission is a no-op.
     emitDecision(nullptr, SimTime::sec(9), DecisionKind::FrequencyBoost,

@@ -229,6 +229,44 @@ TEST_F(SimAllocTest, SteadyStateBottleneckObserveIsAllocationFree)
     EXPECT_EQ(allocationCount() - before, 0u);
 }
 
+TEST_F(SimAllocTest, SteadyStateTapQuantilesAreAllocationFree)
+{
+    // The controller-health taps read p95/p99 of every stage window and
+    // of the end-to-end window each interval. Once the windows and the
+    // quantile scratch buffers have reached their high-water size, a
+    // tap read allocates nothing.
+    BottleneckIdentifier identifier(SimTime::sec(30));
+    MovingWindow e2e(SimTime::sec(30));
+    std::vector<HopRecord> hops(1);
+    static constexpr double kTailQs[2] = {0.95, 0.99};
+    double tails[2];
+    const auto step = [&](int i) {
+        const SimTime at = SimTime::msec(10 * i);
+        for (int s = 0; s < 2; ++s) {
+            hops[0].instanceId = 100 + s;
+            hops[0].stageIndex = s;
+            hops[0].enqueued = at;
+            hops[0].started = at + SimTime::usec(100 * (i % 17));
+            hops[0].finished = hops[0].started + SimTime::msec(3);
+            identifier.observe(at, hops);
+        }
+        e2e.add(at, 0.001 * (i % 23));
+        if (i % 100 == 0) {
+            for (int s = 0; s < 2; ++s)
+                identifier.stageDelayQuantiles(s, kTailQs, tails, 2);
+            e2e.quantiles(kTailQs, tails, 2);
+        }
+    };
+
+    for (int i = 0; i < 4000; ++i)
+        step(i);
+    const std::uint64_t before = allocationCount();
+    for (int i = 4000; i < 6000; ++i)
+        step(i);
+    EXPECT_EQ(allocationCount() - before, 0u);
+    EXPECT_GT(tails[1], 0.0);
+}
+
 TEST_F(SimAllocTest, SteadyStateWithdrawScanAllocatesOnlyTheResult)
 {
     // checkAndWithdraw's per-instance scan reads the dense tables with

@@ -1,6 +1,8 @@
 /** @file Unit tests for the statistics module. */
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <vector>
 
@@ -362,7 +364,7 @@ TEST(MovingWindow, BatchQuantilesEdgeCases)
 {
     MovingWindow w(SimTime::sec(60));
     // Zero quantiles requested: must not touch the output (and must
-    // not pay the copy+sort — the arbiter report path may probe
+    // not pay the copy — the arbiter report path may probe
     // conditionally).
     double sentinel = 42.0;
     w.quantiles(nullptr, &sentinel, 0);
@@ -373,6 +375,85 @@ TEST(MovingWindow, BatchQuantilesEdgeCases)
     w.quantiles(qs, out, 2);
     EXPECT_DOUBLE_EQ(out[0], 0.0);
     EXPECT_DOUBLE_EQ(out[1], 0.0);
+}
+
+/** The full-sort quantiles MovingWindow::quantiles must reproduce. */
+std::vector<double>
+sortedQuantiles(std::vector<double> values, const std::vector<double> &qs)
+{
+    std::sort(values.begin(), values.end());
+    std::vector<double> out;
+    for (const double q : qs) {
+        const double rank = q * static_cast<double>(values.size() - 1);
+        const auto lo = static_cast<std::size_t>(rank);
+        const auto hi = std::min(lo + 1, values.size() - 1);
+        const double frac = rank - static_cast<double>(lo);
+        out.push_back(values[lo] * (1.0 - frac) + values[hi] * frac);
+    }
+    return out;
+}
+
+TEST(MovingWindow, SelectedQuantilesEqualFullSortBitForBit)
+{
+    const std::vector<std::vector<double>> qLists = {
+        {0.0, 0.5, 0.95, 0.99, 1.0},
+        {0.99, 0.0, 1.0, 0.5, 0.95}, // unsorted
+        {0.95, 0.95, 0.99, 0.5, 0.99, 0.0, 0.0, 1.0, 1.0}, // repeated
+        {0.99},
+        {1.0, 0.0},
+    };
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 70; ++n)
+        sizes.push_back(n);
+    for (std::size_t n = 97; n <= 5000; n = n * 3 / 2 + 1)
+        sizes.push_back(n);
+    sizes.push_back(4372);
+    sizes.push_back(5000);
+
+    Rng rng(20261019);
+    for (const std::size_t size : sizes) {
+        for (const bool duplicates : {false, true}) {
+            // The span keeps exactly `size` samples at one per µs; the
+            // extra adds slide the window so the ring has wrapped.
+            const auto n = static_cast<std::int64_t>(size);
+            MovingWindow w(SimTime::usec(n - 1));
+            std::vector<double> all;
+            const std::size_t total = 2 * size + 5;
+            for (std::size_t i = 0; i < total; ++i) {
+                const double v = duplicates
+                    ? static_cast<double>(rng.uniformInt(0, 3))
+                    : rng.uniform(0.0, 1.0);
+                all.push_back(v);
+                w.add(SimTime::usec(static_cast<std::int64_t>(i)), v);
+            }
+            ASSERT_EQ(w.size(), size);
+            const std::vector<double> live(all.end() - size, all.end());
+            for (const auto &qs : qLists) {
+                std::vector<double> got(qs.size(), -1.0);
+                w.quantiles(qs.data(), got.data(), qs.size());
+                const std::vector<double> want = sortedQuantiles(live, qs);
+                for (std::size_t i = 0; i < qs.size(); ++i) {
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                              std::bit_cast<std::uint64_t>(want[i]))
+                        << "size " << size << " dup " << duplicates
+                        << " q " << qs[i] << ": " << got[i]
+                        << " != " << want[i];
+                }
+            }
+        }
+    }
+}
+
+TEST(MovingWindowDeath, OutOfRangeQuantilePanicsNamingIt)
+{
+    MovingWindow w(SimTime::sec(10));
+    w.add(SimTime::sec(1), 1.0);
+    const double high[2] = {0.5, 1.5};
+    double out[2];
+    EXPECT_DEATH(w.quantiles(high, out, 2), "q=1.5 outside");
+    // Checked even on an empty window, where nothing is indexed.
+    MovingWindow empty(SimTime::sec(10));
+    EXPECT_DEATH((void)empty.quantile(-0.25), "q=-0.25 outside");
 }
 
 TEST(TimeSeries, AppendAndSize)
