@@ -1,7 +1,6 @@
 #include "core/command_center.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/logging.h"
 #include "obs/telemetry.h"
@@ -78,7 +77,6 @@ CommandCenter::setTelemetry(Telemetry *telemetry)
         staleSkipCounter_ = nullptr;
         actuationFailCounter_ = nullptr;
         headroomGauge_ = nullptr;
-        selfTime_ = nullptr;
         queueGauges_.clear();
         return;
     }
@@ -92,9 +90,6 @@ CommandCenter::setTelemetry(Telemetry *telemetry)
     actuationFailCounter_ =
         &metrics.counter("control.actuation_failures_total");
     headroomGauge_ = &metrics.gauge("power.headroom_watts");
-    // Wall-clock self-time is host-dependent; keep it out of dumps.
-    selfTime_ = &metrics.histogram("control.self_time_usec",
-                                   Volatility::Volatile);
     queueGauges_.clear();
     for (int i = 0; i < app_->numStages(); ++i) {
         queueGauges_.push_back(&metrics.gauge(
@@ -192,8 +187,6 @@ CommandCenter::onMessage(const MessagePtr &msg)
 void
 CommandCenter::tick()
 {
-    const auto wallStart = std::chrono::steady_clock::now();
-
     identifier_.garbageCollect(*app_);
 
     if (audit_ && audit_->enabled()) {
@@ -341,12 +334,6 @@ CommandCenter::tick()
                                      "control", begin, end,
                                      std::move(args));
         }
-
-        const auto wallEnd = std::chrono::steady_clock::now();
-        selfTime_->add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           wallEnd - wallStart)
-                           .count() /
-                       1e3);
     }
 
     if (intervalCallback_)

@@ -32,7 +32,6 @@ namespace pc {
 class AuditLog;
 class Counter;
 class Gauge;
-class Histogram;
 class Telemetry;
 
 class CommandCenter
@@ -67,8 +66,7 @@ class CommandCenter
      * Attach telemetry to the whole control plane: every actuation is
      * emitted into it (core/decision.h), the boost engine and
      * reallocator count their actions, and every tick() emits a
-     * control span plus budget headroom / per-stage queue gauges and
-     * the (volatile, wall-clock) "control.self_time_usec" histogram.
+     * control span plus budget headroom and per-stage queue gauges.
      * Call before start().
      * nullptr detaches.
      */
@@ -138,7 +136,6 @@ class CommandCenter
     Counter *staleSkipCounter_ = nullptr;
     Counter *actuationFailCounter_ = nullptr;
     Gauge *headroomGauge_ = nullptr;
-    Histogram *selfTime_ = nullptr;
     std::vector<Gauge *> queueGauges_;
 
     // Controller-health taps, registered only when the telemetry

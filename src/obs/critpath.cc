@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "app/query.h"
+#include "common/logging.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
 
@@ -95,8 +96,9 @@ critPathOf(const Query &query)
 }
 
 CritPathCollector::CritPathCollector(AuditLog *audit,
-                                     MetricsRegistry *metrics)
-    : audit_(audit), metrics_(metrics)
+                                     MetricsRegistry *metrics,
+                                     bool keepShareSamples)
+    : audit_(audit), metrics_(metrics), keepShareSamples_(keepShareSamples)
 {
     if (metrics_) {
         dominantGauge_ = &metrics_->gauge("critpath.dominant_stage");
@@ -131,13 +133,14 @@ CritPathCollector::observeQuery(SimTime, const Query &query,
     for (const auto &seg : bd.segments) {
         StageProfile &p = stages_[seg.stage];
         const double share = total > 0.0 ? seg.totalSec() / total : 0.0;
-        p.share.add(share);
+        ++p.paths;
+        if (keepShareSamples_)
+            p.share.add(share);
         p.shareSum += share;
         p.queueSec += seg.queueSec;
         p.serveSec += seg.serveSec;
         p.wastedSec += seg.wastedSec;
         p.redispatchSec += seg.redispatchSec;
-        p.retrySec += seg.retrySec;
         if (seg.boosted)
             ++p.boostedHops;
         if (seg.servedMhz > 0) {
@@ -256,9 +259,9 @@ CritPathCollector::stageShareMeans() const
         maxStage = std::max(maxStage, stage);
     std::vector<double> out(static_cast<std::size_t>(maxStage + 1), 0.0);
     for (const auto &[stage, p] : stages_)
-        if (stage >= 0 && p.share.count() > 0)
+        if (stage >= 0 && p.paths > 0)
             out[static_cast<std::size_t>(stage)] =
-                p.shareSum / static_cast<double>(p.share.count());
+                p.shareSum / static_cast<double>(p.paths);
     return out;
 }
 
@@ -268,6 +271,10 @@ CritPathCollector::toJson(const std::string &scenario) const
     const auto count = [](std::uint64_t n) {
         return JsonValue(static_cast<double>(n));
     };
+
+    if (!keepShareSamples_ && profiled_ > 0)
+        panic("critical-path profile serialized but its share samples "
+              "were not kept (the collector was built collect-only)");
 
     JsonObject root;
     root["schema"] = JsonValue("powerchief-critpath-v1");
@@ -283,15 +290,12 @@ CritPathCollector::toJson(const std::string &scenario) const
         o["mean_served_mhz"] = JsonValue(
             p.mhzCount ? p.mhzSum / static_cast<double>(p.mhzCount)
                        : 0.0);
-        o["paths"] = count(p.share.count());
+        o["paths"] = count(p.paths);
         o["queue_s"] = JsonValue(p.queueSec);
         o["redispatch_s"] = JsonValue(p.redispatchSec);
-        o["retry_s"] = JsonValue(p.retrySec);
         o["serve_s"] = JsonValue(p.serveSec);
         o["share_mean"] = JsonValue(
-            p.share.count()
-                ? p.shareSum / static_cast<double>(p.share.count())
-                : 0.0);
+            p.paths ? p.shareSum / static_cast<double>(p.paths) : 0.0);
         o["share_p50"] =
             JsonValue(p.share.empty() ? 0.0 : p.share.quantile(0.5));
         o["share_p95"] =

@@ -8,7 +8,7 @@
  * module rebuilds each query's execution DAG from those records,
  * extracts the critical path (the slowest shard through every
  * fan-out/fan-in), and segments the path into queue, serve,
- * re-dispatch, retry and wasted time per stage. Two products fall out:
+ * re-dispatch and wasted time per stage. Two products fall out:
  *
  *  1. Deterministic per-run profiles — per-stage critical-path share
  *     (mean/p50/p95/p99 across queries), segment totals, and the top-K
@@ -61,10 +61,6 @@ struct CritPathBreakdown
         double wastedSec = 0.0;
         /** Wait between the crash and the adopting peer's service. */
         double redispatchSec = 0.0;
-        /** RPC retry delay (report-path retries never extend a
-         *  query's end-to-end time in this simulator, so 0 today;
-         *  kept so the schema covers the full segment taxonomy). */
-        double retrySec = 0.0;
         /** Shard fan-out width of the critical hop (0 = not sharded). */
         int shardCount = 0;
         /** The critical hop ran on a boosted instance. */
@@ -74,8 +70,7 @@ struct CritPathBreakdown
 
         double totalSec() const
         {
-            return queueSec + serveSec + wastedSec + redispatchSec +
-                retrySec;
+            return queueSec + serveSec + wastedSec + redispatchSec;
         }
     };
 
@@ -107,9 +102,13 @@ class CritPathCollector
      * @param metrics when non-null, per-interval critpath gauges are
      *        registered so the timeseries recorder samples them;
      *        nullptr keeps flags-off metric dumps byte-identical.
+     * @param keepShareSamples retain every per-stage share for the
+     *        share_p50/p95/p99 of toJson(); collect-only runs, which
+     *        read the share means alone, pass false.
      */
     explicit CritPathCollector(AuditLog *audit = nullptr,
-                               MetricsRegistry *metrics = nullptr);
+                               MetricsRegistry *metrics = nullptr,
+                               bool keepShareSamples = true);
 
     /**
      * Feed one completed query. @p afterWarmup gates the run-level
@@ -146,7 +145,10 @@ class CritPathCollector
     /** Mean critical-path share per stage over profiled queries. */
     std::vector<double> stageShareMeans() const;
 
-    /** The whole profile as one JSON value (schema above). */
+    /**
+     * The whole profile as one JSON value (schema above). panic()s on
+     * a collector built without share samples once it holds a path.
+     */
     JsonValue toJson(const std::string &scenario) const;
 
     /** Write toJson() with a trailing newline. */
@@ -155,13 +157,15 @@ class CritPathCollector
   private:
     struct StageProfile
     {
+        /** Profiled paths through this stage. */
+        std::uint64_t paths = 0;
+        /** Every share; empty unless keepShareSamples_. */
         ExactPercentile share;
         double shareSum = 0.0;
         double queueSec = 0.0;
         double serveSec = 0.0;
         double wastedSec = 0.0;
         double redispatchSec = 0.0;
-        double retrySec = 0.0;
         std::uint64_t dominant = 0;
         std::uint64_t boostedHops = 0;
         double mhzSum = 0.0;
@@ -183,6 +187,7 @@ class CritPathCollector
 
     AuditLog *audit_;
     MetricsRegistry *metrics_;
+    bool keepShareSamples_;
     Gauge *dominantGauge_ = nullptr;
     Gauge *agreementGauge_ = nullptr;
     Gauge *meanCritGauge_ = nullptr;

@@ -1,11 +1,22 @@
 #include "obs/metrics.h"
 
 #include <cstdio>
+#include <type_traits>
 
 #include "common/csv.h"
 #include "common/logging.h"
 
 namespace pc {
+
+const ExactPercentile &
+Histogram::samples() const
+{
+    if (!keepSamples_ && stats_.count() > 0)
+        panic("histogram '%s' was read for quantiles or buckets but "
+              "keeps no samples (its registry is never dumped)",
+              name_.c_str());
+    return exact_;
+}
 
 template <typename T>
 T &
@@ -17,7 +28,10 @@ MetricsRegistry::findOrCreate(std::map<std::string, Named<T>> *metrics,
     const std::lock_guard<std::mutex> lock(mutex_);
     auto &slot = (*metrics)[name];
     if (!slot.metric) {
-        slot.metric = std::make_unique<T>();
+        if constexpr (std::is_same_v<T, Histogram>)
+            slot.metric = std::make_unique<T>(name, keepHistogramSamples_);
+        else
+            slot.metric = std::make_unique<T>();
         slot.vol = vol;
         slot.unit = unit;
         return *slot.metric;

@@ -13,11 +13,13 @@
  * sweep cache hits and the Logger's warning/error totals.
  *
  * Counters and gauges are lock-free (atomics) and safe to touch from
- * the sweep's worker threads; histograms wrap ExactPercentile and are
- * single-writer, which every simulation is.
+ * the sweep's worker threads; histograms are single-writer, which
+ * every simulation is. A histogram keeps its moments always and its
+ * samples (for exact quantiles and buckets) only in a registry built
+ * to be dumped.
  *
- * Metrics registered as Volatility::Volatile (e.g. the control loop's
- * wall-clock self-time) are excluded from dumps by default so output
+ * Metrics registered as Volatility::Volatile (wall-clock or
+ * host-dependent values) are excluded from dumps by default so output
  * files stay deterministic functions of the scenario.
  */
 
@@ -32,6 +34,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "common/json.h"
 #include "common/time.h"
@@ -78,33 +81,48 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/** Sample distribution: exact quantiles plus streaming moments. */
+/**
+ * Sample distribution: streaming moments (count, mean, min, max, sum)
+ * always; exact quantiles and buckets only when the histogram keeps
+ * its samples, which its registry decides (MetricsRegistry).
+ */
 class Histogram
 {
   public:
+    Histogram(std::string name, bool keepSamples)
+        : name_(std::move(name)), keepSamples_(keepSamples)
+    {
+    }
+
     void
     add(double x)
     {
-        exact_.add(x);
+        if (keepSamples_)
+            exact_.add(x);
         stats_.add(x);
         sum_ += x;
     }
 
-    std::size_t count() const { return exact_.count(); }
+    std::size_t count() const { return stats_.count(); }
     double sum() const { return sum_; }
     double mean() const { return stats_.mean(); }
     double min() const { return stats_.min(); }
     double max() const { return stats_.max(); }
-    double quantile(double q) const { return exact_.quantile(q); }
-    double p99() const { return exact_.p99(); }
+    double quantile(double q) const { return samples().quantile(q); }
+    double p99() const { return samples().p99(); }
 
     /** Samples <= @p x (cumulative bucket count). */
     std::size_t countAtOrBelow(double x) const
     {
-        return exact_.countAtOrBelow(x);
+        return samples().countAtOrBelow(x);
     }
 
   private:
+    /** The retained samples; panic()s when they were dropped. */
+    const ExactPercentile &samples() const;
+
+    std::string name_;
+    bool keepSamples_;
     ExactPercentile exact_;
     StreamingStats stats_;
     double sum_ = 0.0;
@@ -123,7 +141,16 @@ inline constexpr std::size_t kNumHistogramBuckets =
 class MetricsRegistry
 {
   public:
-    MetricsRegistry() = default;
+    /**
+     * @param keepHistogramSamples whether histograms retain every
+     *        sample for the exact quantiles and buckets of a dump.
+     *        Registries that are never dumped pass false and keep
+     *        only the moments the timeseries recorder samples.
+     */
+    explicit MetricsRegistry(bool keepHistogramSamples = true)
+        : keepHistogramSamples_(keepHistogramSamples)
+    {
+    }
 
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
@@ -182,6 +209,8 @@ class MetricsRegistry
      * "histograms": {name: {count, mean, min, max, p50, p90, p99}},
      * "series": {name: [[t_usec, value], ..]}}. Map-ordered keys and
      * exact double round-tripping make the dump deterministic.
+     * Serializing a registry built without histogram samples panic()s
+     * once a histogram holds data.
      */
     JsonValue toJson(bool includeVolatile = false) const;
 
@@ -218,6 +247,7 @@ class MetricsRegistry
                     const std::string &name, const std::string &unit,
                     Volatility vol, const char *kind);
 
+    const bool keepHistogramSamples_;
     mutable std::mutex mutex_;
     std::map<std::string, Named<Counter>> counters_;
     std::map<std::string, Named<Gauge>> gauges_;

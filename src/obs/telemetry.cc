@@ -65,7 +65,7 @@ TelemetryConfig::resolved(const std::string &scenario, bool multiRun) const
 
 Telemetry::Telemetry(TelemetryConfig config)
     : config_(std::move(config)), trace_(config_.tracingEnabled()),
-      audit_(config_.auditEnabled())
+      metrics_(config_.metricsEnabled()), audit_(config_.auditEnabled())
 {
     trace_.setMetrics(&metrics_);
     if (config_.samplingEnabled())
@@ -80,8 +80,8 @@ Telemetry::Telemetry(TelemetryConfig config)
         // run samples per interval, so metrics dumps without the
         // timeseries engine stay byte-identical.
         critpath_ = std::make_unique<CritPathCollector>(
-            &audit_,
-            config_.samplingEnabled() ? &metrics_ : nullptr);
+            &audit_, config_.samplingEnabled() ? &metrics_ : nullptr,
+            !config_.critpathOut.empty());
     }
 }
 

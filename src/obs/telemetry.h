@@ -128,6 +128,10 @@ class Telemetry
 
     TraceSink &trace() { return trace_; }
     const TraceSink &trace() const { return trace_; }
+    /**
+     * The run's registry. Its histograms keep samples (exact
+     * quantiles and buckets) only when metricsEnabled() will dump it.
+     */
     MetricsRegistry &metrics() { return metrics_; }
     const MetricsRegistry &metrics() const { return metrics_; }
     AuditLog &audit() { return audit_; }

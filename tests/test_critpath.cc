@@ -273,6 +273,31 @@ TEST(CritPathCollector, JsonCarriesSchemaProfileAndIntervals)
     EXPECT_DOUBLE_EQ(intervals[0].find("t_s")->asNumber(), 25.0);
 }
 
+TEST(CritPathCollector, CollectOnlyKeepsShareMeansWithoutSamples)
+{
+    CritPathCollector kept;
+    CritPathCollector dropped(nullptr, nullptr,
+                              /*keepShareSamples=*/false);
+    for (int i = 1; i <= 6; ++i) {
+        const auto q = singleStageQuery(i, i % 3, 0.5 * i);
+        kept.observeQuery(SimTime::sec(i), *q, true);
+        dropped.observeQuery(SimTime::sec(i), *q, true);
+    }
+    EXPECT_EQ(dropped.stageShareMeans(), kept.stageShareMeans());
+    EXPECT_EQ(dropped.profiledQueries(), kept.profiledQueries());
+}
+
+TEST(CritPathCollectorDeathTest, CollectOnlyProfileRefusesToSerialize)
+{
+    CritPathCollector dropped(nullptr, nullptr,
+                              /*keepShareSamples=*/false);
+    // An empty profile has no shares to lose and still serializes.
+    EXPECT_TRUE(dropped.toJson("empty").isObject());
+    dropped.observeQuery(SimTime::sec(1), *singleStageQuery(1, 0, 1.0),
+                         true);
+    EXPECT_DEATH((void)dropped.toJson("unit"), "share samples");
+}
+
 // ----------------------------------------- fan-out hop recording
 
 class CritPathFanOutTest : public testing::Test

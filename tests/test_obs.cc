@@ -60,6 +60,46 @@ TEST(Metrics, CounterGaugeHistogramBasics)
     EXPECT_FALSE(registry.empty());
 }
 
+TEST(Metrics, MomentsDoNotDependOnSampleRetention)
+{
+    MetricsRegistry kept;
+    MetricsRegistry dropped(/*keepHistogramSamples=*/false);
+    Histogram &a = kept.histogram("lat");
+    Histogram &b = dropped.histogram("lat");
+    for (int i = 0; i < 1000; ++i) {
+        const double x = 0.001 * ((i * 37) % 101) - 0.02;
+        a.add(x);
+        b.add(x);
+    }
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.mean(), b.mean());
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+    EXPECT_EQ(a.sum(), b.sum());
+}
+
+TEST(Metrics, EmptyNonRetainingHistogramStillSerializes)
+{
+    MetricsRegistry kept;
+    MetricsRegistry dropped(/*keepHistogramSamples=*/false);
+    kept.histogram("lat");
+    dropped.histogram("lat");
+    EXPECT_EQ(dropped.toJson().dump(), kept.toJson().dump());
+}
+
+TEST(MetricsDeathTest, ReadingDroppedSamplesPanicsNamingTheHistogram)
+{
+    MetricsRegistry registry(/*keepHistogramSamples=*/false);
+    Histogram &h = registry.histogram("latency.e2e_sec");
+    h.add(0.5);
+    EXPECT_DEATH((void)h.quantile(0.5), "latency.e2e_sec");
+    EXPECT_DEATH((void)h.p99(), "latency.e2e_sec");
+    EXPECT_DEATH((void)h.countAtOrBelow(1.0), "latency.e2e_sec");
+    EXPECT_DEATH((void)registry.toJson(), "latency.e2e_sec");
+    std::ostringstream csv;
+    EXPECT_DEATH(registry.writeCsv(csv), "latency.e2e_sec");
+}
+
 TEST(Metrics, FindOrCreateReturnsTheSameInstrument)
 {
     MetricsRegistry registry;

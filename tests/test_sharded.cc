@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "exp/result_cache.h"
 #include "exp/sweep.h"
 #include "obs/telemetry.h"
@@ -261,6 +262,74 @@ INSTANTIATE_TEST_SUITE_P(CleanAndLossy, ShardedDeterminism,
                          [](const auto &info) {
                              return info.param ? "lossy" : "clean";
                          });
+
+/**
+ * @p envelope re-serialized without the queries.submitted/completed
+ * gauges, which the --metrics-interval snapshot sets in the registry
+ * (and the timeseries recorder then samples) only when metrics are
+ * dumped.
+ */
+std::string
+withoutSnapshotGauges(const std::string &envelope)
+{
+    const JsonParseResult parsed = parseJson(envelope);
+    EXPECT_TRUE(parsed.ok()) << parsed.error;
+    if (!parsed.ok())
+        return "";
+    JsonObject doc = parsed.value->asObject();
+    JsonArray shards;
+    for (const JsonValue &shard : doc["shards"].asArray()) {
+        JsonObject s = shard.asObject();
+        JsonObject series = s["series"].asObject();
+        series.erase("queries.submitted");
+        series.erase("queries.completed");
+        s["series"] = JsonValue(std::move(series));
+        shards.push_back(JsonValue(std::move(s)));
+    }
+    doc["shards"] = JsonValue(std::move(shards));
+    return JsonValue(std::move(doc)).dump();
+}
+
+TEST(ShardedTelemetry, DroppedHistogramSamplesChangeNoOtherOutput)
+{
+    // Without --metrics-out a run's registry keeps histogram moments
+    // only. No reader but the metrics dump may depend on the dropped
+    // samples: the result is the same bytes with and without the dump,
+    // and so is the timeseries envelope (alerts and SLO included) up
+    // to the two snapshot gauges only a dumping run publishes.
+    const Scenario sc = Scenario::millionQuery(/*nodeGroups=*/2,
+                                               /*totalQueries=*/2000,
+                                               /*durationSec=*/10.0,
+                                               /*seed=*/777);
+    const std::string base =
+        ::testing::TempDir() + "/sharded_histogram_retention";
+    std::string results[2], envelopes[2];
+    for (const bool dump : {false, true}) {
+        TelemetryConfig telemetry;
+        telemetry.alertsEnabled = true;
+        telemetry.timeseriesOut =
+            base + (dump ? ".dump" : "") + ".timeseries.json";
+        if (dump)
+            telemetry.metricsOut = base + ".metrics.json";
+        SloConfig slo;
+        slo.enabled = true;
+        ExperimentRunner runner(/*recordTraces=*/false,
+                                SimTime::sec(5),
+                                /*attribution=*/false,
+                                /*collectAudit=*/false, slo);
+        runner.setShards(2);
+        const RunResult result = runner.run(sc, &telemetry);
+        EXPECT_GT(result.completed, 0u);
+        results[dump] = runResultToJson(result).dump();
+        envelopes[dump] = slurp(telemetry.timeseriesOut);
+    }
+    EXPECT_NE(envelopes[0].find("\"slo\""), std::string::npos);
+    EXPECT_EQ(envelopes[0].find("queries.submitted"), std::string::npos);
+    EXPECT_NE(envelopes[1].find("queries.submitted"), std::string::npos);
+    EXPECT_EQ(results[0], results[1]);
+    EXPECT_EQ(withoutSnapshotGauges(envelopes[0]),
+              withoutSnapshotGauges(envelopes[1]));
+}
 
 // ------------------------------------------------------ cache identity
 

@@ -23,6 +23,7 @@
 
 #include "core/bottleneck.h"
 #include "core/withdraw.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -265,6 +266,19 @@ TEST_F(SimAllocTest, SteadyStateTapQuantilesAreAllocationFree)
         step(i);
     EXPECT_EQ(allocationCount() - before, 0u);
     EXPECT_GT(tails[1], 0.0);
+}
+
+TEST_F(SimAllocTest, NonRetainingHistogramAddIsAllocationFree)
+{
+    // A registry that is never dumped keeps histogram moments only, so
+    // the per-hop latency and queue-depth taps never grow a buffer.
+    MetricsRegistry registry(/*keepHistogramSamples=*/false);
+    Histogram &h = registry.histogram("app.stage0.wait_sec");
+    const std::uint64_t before = allocationCount();
+    for (int i = 0; i < 10000; ++i)
+        h.add(0.001 * (i % 97));
+    EXPECT_EQ(allocationCount() - before, 0u);
+    EXPECT_EQ(h.count(), 10000u);
 }
 
 TEST_F(SimAllocTest, SteadyStateWithdrawScanAllocatesOnlyTheResult)

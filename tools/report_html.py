@@ -25,7 +25,7 @@ Sections per run:
 
 Critical-path documents (schema "powerchief-critpath-v1", produced by
 --critpath-out) get their own section: a per-stage waterfall of the
-aggregate queue/serve/wasted/re-dispatch/retry segments, the share
+aggregate queue/serve/wasted/re-dispatch segments, the share
 quantiles, the top path signatures, and the controller's
 bottleneck-agreement scoring with a per-interval agree/misboost strip.
 
@@ -301,7 +301,6 @@ CP_SEGMENTS = [
     ("serve_s", "serve", "#2b6cb0"),
     ("wasted_s", "wasted", "#c53030"),
     ("redispatch_s", "re-dispatch", "#805ad5"),
-    ("retry_s", "retry", "#2c7a7b"),
 ]
 
 
@@ -728,7 +727,6 @@ def synthetic_critpath_doc():
                 "serve_s": 1.0,
                 "wasted_s": 0.0,
                 "redispatch_s": 0.0,
-                "retry_s": 0.0,
                 "boosted_hops": 0,
                 "mean_served_mhz": 2400.0,
             },
@@ -744,7 +742,6 @@ def synthetic_critpath_doc():
                 "serve_s": 3.0,
                 "wasted_s": 0.4,
                 "redispatch_s": 0.2,
-                "retry_s": 0.0,
                 "boosted_hops": 3,
                 "mean_served_mhz": 2900.0,
             },

@@ -904,8 +904,7 @@ validateCritPathDoc(const JsonValue &root, const std::string &path)
         requireNumber(st, "stage", i);
         for (const char *key : {"boosted_hops", "dominant",
                                 "mean_served_mhz", "paths", "queue_s",
-                                "redispatch_s", "retry_s", "serve_s",
-                                "wasted_s"}) {
+                                "redispatch_s", "serve_s", "wasted_s"}) {
             if (requireNumber(st, key, i) < 0.0)
                 bad("critpath stage " + std::to_string(i) + " \"" +
                     key + "\" negative");
