@@ -390,12 +390,12 @@ ExperimentRunner::run(const Scenario &sc,
     if (tel && tel->config().metricsEnabled()) {
         const SimTime interval = tel->config().metricsInterval;
         sim.schedulePeriodic(interval, interval, [tel, &app, &sim]() {
-            MetricsRegistry &metrics = tel->metrics();
-            metrics.gauge("queries.submitted")
-                .set(static_cast<double>(app.submitted()));
-            metrics.gauge("queries.completed")
-                .set(static_cast<double>(app.completed()));
-            metrics.snapshot(sim.now());
+            tel->metrics().snapshot(
+                sim.now(),
+                {{"queries.submitted",
+                  static_cast<double>(app.submitted())},
+                 {"queries.completed",
+                  static_cast<double>(app.completed())}});
         });
     }
 

@@ -6,10 +6,19 @@
  * Each node group owns a full copy of the single-node stack — its own
  * Simulator (owned by the ShardedEngine), chip, bus, application,
  * budget, command center, fault injector, RAPL reader, load generator
- * and telemetry bundle. The only cross-group interaction is the
- * front-end spray: a scenario-configured fraction of each group's
- * arrivals is posted to a remote group with interNodeLatency delay,
- * which is therefore the engine's conservative lookahead.
+ * and telemetry bundle. Groups interact in two ways, each with
+ * interNodeLatency delay, which is therefore the engine's lookahead:
+ *
+ *   - The front-end spray: a scenario-configured fraction of each
+ *     group's arrivals is served by another group. It is open loop,
+ *     so it needs no sync at all: every group's generator shares its
+ *     drawn-ahead ArrivalStream, and a SprayFeed lets each destination
+ *     insert the arrivals it serves after every window and build the
+ *     queries itself.
+ *   - With a cluster policy, the arbiter's reports and grants. They
+ *     depend on simulation state, so they are posted, and each channel
+ *     declares its send ticks: the engine syncs only the windows that
+ *     hold one — two per rebalance round.
  *
  * Determinism: the logical partition (nodeGroups) is part of the
  * scenario; the worker count (--shards / setShards) only picks which
@@ -88,6 +97,61 @@ struct ClusterGrantMsg final : Message
     ClusterGrant grant;
 };
 
+/**
+ * One group's sprayed arrivals, read from its generator's drawn-ahead
+ * stream. After each window every other group inserts the arrivals it
+ * serves into its own heap, one interNodeLatency after their source
+ * time, and builds each Query itself.
+ */
+class SprayFeed final : public ShardedEngine::Feed
+{
+  public:
+    /** @p gen must have started; @p apps holds every group's app. */
+    SprayFeed(LoadGenerator &gen, int self,
+              std::vector<MultiStageApp *> apps, SimTime latency)
+        : gen_(gen), apps_(std::move(apps)), latency_(latency)
+    {
+        readers_.resize(apps_.size());
+        for (int d = 0; d < static_cast<int>(apps_.size()); ++d)
+            if (d != self)
+                readers_[static_cast<std::size_t>(d)].emplace(
+                    gen.stream().reader(d, d));
+    }
+
+    std::uint64_t sent() const override { return gen_.generated(); }
+
+    void
+    drawThrough(SimTime until) override
+    {
+        gen_.stream().drawThrough(until);
+    }
+
+    std::uint64_t
+    deliver(int to, Simulator &sim, SimTime until,
+            std::uint64_t limit) override
+    {
+        ArrivalStream::Reader &reader =
+            *readers_[static_cast<std::size_t>(to)];
+        MultiStageApp *app = apps_[static_cast<std::size_t>(to)];
+        std::uint64_t delivered = 0;
+        for (const ArrivalStream::Arrival *a = reader.next(until);
+             a && a->seq < limit; a = reader.next(until)) {
+            sim.scheduleAt(a->t + latency_,
+                           [app, q = a->query()]() { app->submit(q); });
+            reader.pop();
+            ++delivered;
+        }
+        return delivered;
+    }
+
+  private:
+    LoadGenerator &gen_;
+    std::vector<MultiStageApp *> apps_;
+    SimTime latency_;
+    /** One per destination group; none for this group itself. */
+    std::vector<std::optional<ArrivalStream::Reader>> readers_;
+};
+
 /** Everything one node group owns. Heap-allocated so the completion
  *  sink's captured pointer stays stable. */
 struct ShardStack
@@ -102,7 +166,7 @@ struct ShardStack
     std::optional<FaultInjector> injector;
     std::optional<RaplReader> rapl;
     std::optional<LoadGenerator> gen;
-    std::optional<Rng> sprayRng;
+    std::unique_ptr<SprayFeed> spray;
 
     // Completion statistics, ignoring the warmup prefix — the same
     // accumulators the single-node path keeps, one set per group.
@@ -253,7 +317,15 @@ ExperimentRunner::runSharded(const Scenario &sc,
     RunResult result;
     result.scenario = sc.name;
 
+    // Cross-group traffic: the spray is read ahead from each group's
+    // arrival stream and never posts; the arbiter's reports and grants
+    // declare their schedules below. No other channel ever posts.
     ShardedEngine engine(groups, sc.interNodeLatency);
+    for (int from = 0; from < groups; ++from)
+        for (int to = 0; to < groups; ++to)
+            if (from != to)
+                engine.declare(from, to,
+                               ShardedEngine::PostSchedule::never());
 
     const PowerModel model = PowerModel::haswell();
     const auto &ladder = model.ladder();
@@ -439,12 +511,12 @@ ExperimentRunner::runSharded(const Scenario &sc,
             st.sim->schedulePeriodic(interval, interval,
                                      [stp = &st]() {
                 ShardStack &stack = *stp;
-                MetricsRegistry &metrics = stack.tel->metrics();
-                metrics.gauge("queries.submitted")
-                    .set(static_cast<double>(stack.app->submitted()));
-                metrics.gauge("queries.completed")
-                    .set(static_cast<double>(stack.app->completed()));
-                metrics.snapshot(stack.sim->now());
+                stack.tel->metrics().snapshot(
+                    stack.sim->now(),
+                    {{"queries.submitted",
+                      static_cast<double>(stack.app->submitted())},
+                     {"queries.completed",
+                      static_cast<double>(stack.app->completed())}});
             });
         }
 
@@ -461,28 +533,20 @@ ExperimentRunner::runSharded(const Scenario &sc,
         // without any cross-group coordination.
         st.gen->setQueryIdBase(static_cast<std::int64_t>(g) << 40);
         if (sc.remoteFraction > 0.0) {
-            st.sprayRng.emplace(shardSeed ^ 0xf00dfeedcafe1234ull);
-            st.gen->setSubmitHook([&engine, &sc, g, groups, &stacks,
-                                   stp = &st](QueryPtr q) {
-                ShardStack &stack = *stp;
-                // Draw both variates unconditionally so the stream
-                // consumed per arrival is fixed (determinism under
-                // any remoteFraction).
-                const double u = stack.sprayRng->uniform(0.0, 1.0);
-                auto dst = static_cast<int>(
-                    stack.sprayRng->uniformInt(0, groups - 2));
-                if (u >= sc.remoteFraction) {
-                    stack.app->submit(std::move(q));
-                    return;
-                }
-                if (dst >= g)
-                    ++dst; // uniform over the OTHER groups
-                MultiStageApp *remote = &*stacks[static_cast<
-                    std::size_t>(dst)]->app;
-                engine.post(g, dst,
-                            stack.sim->now() + sc.interNodeLatency,
-                            [remote, q]() { remote->submit(q); });
-            });
+            // Both variates are drawn for every arrival, so the stream
+            // consumed per arrival is fixed under any remoteFraction.
+            st.gen->share(g, groups,
+                          [rng = Rng(shardSeed ^ 0xf00dfeedcafe1234ull),
+                           fraction = sc.remoteFraction, g,
+                           groups]() mutable {
+                              const double u = rng.uniform(0.0, 1.0);
+                              auto dst = static_cast<int>(
+                                  rng.uniformInt(0, groups - 2));
+                              if (u >= fraction)
+                                  return g;
+                              // Uniform over the OTHER groups.
+                              return dst >= g ? dst + 1 : dst;
+                          });
         }
 
         stacks.push_back(std::move(stack));
@@ -492,7 +556,7 @@ ExperimentRunner::runSharded(const Scenario &sc,
     // It lives on node 0's simulator and owns the fleet cap; reports
     // and grants ride each node's MessageBus (so the fault fabric
     // applies) and cross shards through engine.post at the
-    // interNodeLatency lookahead, exactly like the front-end spray.
+    // interNodeLatency lookahead.
     std::unique_ptr<ClusterArbiter> arbiter;
     if (clusterOn) {
         ShardStack &root = *stacks[0];
@@ -535,9 +599,20 @@ ExperimentRunner::runSharded(const Scenario &sc,
 
         // Per-node demand reporters, phase-offset half an interval
         // ahead of the rebalance loop so every decision can see a
-        // fresh in-flight report from each healthy node.
+        // fresh in-flight report from each healthy node. Reports leave
+        // only on their ticks and grants only on rebalance rounds, so
+        // the engine syncs just the windows holding those ticks.
         const SimTime reportStart =
             SimTime::sec(sc.rebalanceInterval.toSec() * 0.5);
+        for (int g = 1; g < groups; ++g) {
+            engine.declare(g, 0,
+                           ShardedEngine::PostSchedule::every(
+                               reportStart, sc.rebalanceInterval));
+            engine.declare(0, g,
+                           ShardedEngine::PostSchedule::every(
+                               sc.rebalanceInterval,
+                               sc.rebalanceInterval));
+        }
         for (int g = 0; g < groups; ++g) {
             ShardStack *stp = stacks[static_cast<std::size_t>(g)].get();
             stp->sim->schedulePeriodic(
@@ -576,8 +651,8 @@ ExperimentRunner::runSharded(const Scenario &sc,
 
     // Flush-on-fatal: a conservation/ledger fatal mid-run still writes
     // the merged artifacts collected so far (see the single-node path).
-    auto writeMergedOutputs = [&stacks, &effective, &sc,
-                               &result, &arbiter]() {
+    auto writeMergedOutputs = [&stacks, &effective, &sc, &result,
+                               &arbiter, &engine]() {
         if (!effective.anyEnabled())
             return;
         for (auto &st : stacks) {
@@ -607,8 +682,16 @@ ExperimentRunner::runSharded(const Scenario &sc,
                 st->tel->metrics().writeJson(doc, sc.name);
                 docs.push_back(doc.str());
             }
-            writeEnvelope(effective.metricsOut, "metrics", sc.name,
-                          docs);
+            JsonObject counts;
+            counts["sync_rounds"] =
+                JsonValue(static_cast<double>(engine.syncRounds()));
+            counts["cross_shard_posts"] =
+                JsonValue(static_cast<double>(engine.crossShardEvents()));
+            counts["remote_arrivals"] =
+                JsonValue(static_cast<double>(engine.feedDeliveries()));
+            writeEnvelope(effective.metricsOut, "metrics", sc.name, docs,
+                          "\"engine\":" +
+                              JsonValue(std::move(counts)).dump());
         }
         if (!effective.auditOut.empty()) {
             std::vector<std::string> docs;
@@ -668,6 +751,17 @@ ExperimentRunner::runSharded(const Scenario &sc,
         st->energyBefore = st->chip->totalEnergy();
         st->gen->start(sc.duration);
     }
+    if (sc.remoteFraction > 0.0) {
+        std::vector<MultiStageApp *> apps;
+        for (auto &st : stacks)
+            apps.push_back(&*st->app);
+        for (int g = 0; g < groups; ++g) {
+            ShardStack &st = *stacks[static_cast<std::size_t>(g)];
+            st.spray = std::make_unique<SprayFeed>(*st.gen, g, apps,
+                                                   sc.interNodeLatency);
+            engine.setFeed(g, st.spray.get());
+        }
+    }
     if (arbiter)
         arbiter->start();
 
@@ -678,8 +772,8 @@ ExperimentRunner::runSharded(const Scenario &sc,
 
     // Post-run invariants, per group (see the single-node path). The
     // spray keeps these intact: every query is submitted to exactly one
-    // app, and sprays still in a mailbox at the deadline were never
-    // submitted anywhere — identically at any worker count.
+    // app, and sprays scheduled past the deadline were never submitted
+    // anywhere — identically at any worker count.
     for (std::size_t g = 0; g < stacks.size(); ++g)
         checkRunInvariants(*stacks[g]->app, *stacks[g]->budget,
                            static_cast<int>(g));

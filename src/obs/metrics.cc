@@ -135,9 +135,15 @@ MetricsRegistry::visitStable(
 }
 
 void
-MetricsRegistry::snapshot(SimTime now)
+MetricsRegistry::snapshot(
+    SimTime now,
+    std::initializer_list<std::pair<const char *, double>> extra)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto &[name, value] : extra) {
+        auto [it, inserted] = series_.try_emplace(name, TimeSeries(name));
+        it->second.append(now, value);
+    }
     for (const auto &[name, slot] : counters_) {
         if (slot.vol != Volatility::Stable)
             continue;

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -200,9 +201,16 @@ class MetricsRegistry
 
     /**
      * Append every stable counter and gauge value to its TimeSeries —
-     * the periodic snapshot behind --metrics-interval.
+     * the periodic snapshot behind --metrics-interval — plus one point
+     * per @p extra (name, value) pair to the series of that name. The
+     * extras are series only, never metrics, so the timeseries
+     * recorder does not sample them and a run's timeseries reads the
+     * same with or without a metrics dump.
      */
-    void snapshot(SimTime now);
+    void snapshot(
+        SimTime now,
+        std::initializer_list<std::pair<const char *, double>> extra =
+            {});
 
     /**
      * Serialize to a JSON object: {"counters": {..}, "gauges": {..},

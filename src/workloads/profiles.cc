@@ -57,9 +57,16 @@ WorkloadModel::sampleDemands(Rng &rng, int refMhz) const
 {
     std::vector<WorkDemand> demands;
     demands.reserve(stages_.size());
-    for (const auto &stage : stages_)
-        demands.push_back(stage.sample(rng, refMhz));
+    appendDemands(rng, refMhz, &demands);
     return demands;
+}
+
+void
+WorkloadModel::appendDemands(Rng &rng, int refMhz,
+                             std::vector<WorkDemand> *out) const
+{
+    for (const auto &stage : stages_)
+        out->push_back(stage.sample(rng, refMhz));
 }
 
 double

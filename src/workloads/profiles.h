@@ -81,6 +81,10 @@ class WorkloadModel
     /** Sample the per-stage demands of one query. */
     std::vector<WorkDemand> sampleDemands(Rng &rng, int refMhz) const;
 
+    /** The same draws as sampleDemands(), appended to @p out. */
+    void appendDemands(Rng &rng, int refMhz,
+                       std::vector<WorkDemand> *out) const;
+
     /**
      * Throughput capacity (qps) of the slowest stage when each stage
      * runs one instance at @p mhz — the load-level yardstick.

@@ -527,5 +527,40 @@ TEST(TimeseriesDeterminism, DumpsByteIdenticalAcrossJobsLossy)
               std::string::npos);
 }
 
+TEST(TimeseriesDeterminism, MetricsDumpLeavesTimeseriesUnchanged)
+{
+    // The --metrics-interval snapshot publishes the query counts as
+    // series of the metrics dump only: the timeseries file reads the
+    // same bytes with and without a metrics dump.
+    const Scenario sc = tsScenario(1, false);
+    const std::string base = testing::TempDir() + "pc_ts_metrics_";
+    std::string timeseries[2], metrics;
+    for (const bool dump : {false, true}) {
+        TelemetryConfig telemetry;
+        telemetry.alertsEnabled = true;
+        telemetry.timeseriesOut =
+            base + (dump ? "dump" : "plain") + ".ts.json";
+        if (dump)
+            telemetry.metricsOut = base + "dump.metrics.json";
+        ExperimentRunner runner;
+        runner.run(sc, &telemetry);
+        timeseries[dump] = slurp(telemetry.timeseriesOut);
+        if (dump)
+            metrics = slurp(telemetry.metricsOut);
+    }
+    EXPECT_EQ(timeseries[0].find("queries.submitted"), std::string::npos);
+    EXPECT_EQ(timeseries[0], timeseries[1]);
+    const JsonParseResult parsed = parseJson(metrics);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const JsonObject &doc = parsed.value->asObject();
+    EXPECT_GT(doc.at("series").asObject().at("queries.submitted")
+                  .asArray()
+                  .size(),
+              0u);
+    EXPECT_GT(doc.at("gauges").asObject().at("queries.completed")
+                  .asNumber(),
+              0.0);
+}
+
 } // namespace
 } // namespace pc

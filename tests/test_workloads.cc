@@ -295,6 +295,56 @@ TEST_F(LoadGenTest, QueriesCarryPerStageDemands)
     EXPECT_GT(seen->demand(0).serviceSec(1800, 1200), 0.0);
 }
 
+// --------------------------------------------------------- ArrivalStream
+
+/** A stream over two groups that alternates them, arrival by arrival. */
+ArrivalStream
+alternatingStream()
+{
+    const WorkloadModel model("fast", std::vector<StageProfile>{
+                                          StageProfile{"S", 0.001, 0.1,
+                                                       0.5, 1800}});
+    return ArrivalStream(model, LoadProfile::constant(100.0), 5, 1200,
+                         SimTime::zero(), SimTime::sec(10), 1, 2,
+                         [n = 0]() mutable { return n++ % 2; });
+}
+
+TEST(ArrivalStream, GroupReaderSeesItsShareOfWhatIsDrawn)
+{
+    // The drawing reader walks every arrival; the group-1 reader, on
+    // what drawThrough() published, sees exactly the odd ones.
+    ArrivalStream stream = alternatingStream();
+    ArrivalStream::Reader all = stream.reader(0, -1);
+    ArrivalStream::Reader odd = stream.reader(1, 1);
+    const SimTime until = SimTime::sec(3);
+    stream.drawThrough(until);
+    std::vector<std::uint64_t> expected;
+    for (const ArrivalStream::Arrival *a = all.next(until); a;
+         all.pop(), a = all.next(until))
+        if (a->seq % 2 == 1)
+            expected.push_back(a->seq);
+    std::vector<std::uint64_t> seen;
+    for (const ArrivalStream::Arrival *a = odd.next(until); a;
+         odd.pop(), a = odd.next(until)) {
+        EXPECT_EQ(a->group, 1);
+        seen.push_back(a->seq);
+    }
+    EXPECT_GT(seen.size(), 2 * ArrivalStream::kChunkArrivals);
+    EXPECT_EQ(seen, expected);
+}
+
+TEST(ArrivalStreamDeath, GroupReaderPastTheDrawnArrivalsPanics)
+{
+    EXPECT_DEATH(
+        {
+            ArrivalStream stream = alternatingStream();
+            ArrivalStream::Reader odd = stream.reader(1, 1);
+            while (odd.next(SimTime::sec(5)))
+                odd.pop();
+        },
+        "reader 1 asked through 5.000000 s, past the arrivals drawn");
+}
+
 TEST(LoadLevelNames, ToString)
 {
     EXPECT_STREQ(toString(LoadLevel::Low), "low");

@@ -20,8 +20,9 @@
 # prediction numbers against tests/golden/fig11_trace.json.
 #
 # The sharded engine gets two dedicated legs: the TSan build drives a
-# multi-group run through the worker pool (races in mailbox drains and
-# window barriers), and the Release build writes every artifact at
+# multi-group run through the worker pool (races in the drawn-ahead
+# spray hand-off, mailbox drains and sync-window barriers), and the
+# Release build writes every artifact at
 # --shards 1 and --shards 8 and cmp's them byte-for-byte — the
 # determinism contract from docs/PERFORMANCE.md. Both repeat with the
 # cluster power arbiter on (docs/ARCHITECTURE.md), and a gated
@@ -57,19 +58,21 @@ run_variant asan RelWithDebInfo \
 run_variant release Release ""
 
 echo "=== sharded engine under TSan ==="
-# The mega scenario's workload through the real worker pool: window
-# barriers, cross-shard mailbox drains and the merge paths all execute
-# under ThreadSanitizer. Oversubscribed (4 groups, 4 workers on
-# however few cores this machine has) on purpose — preemption points
-# shake out ordering races that a matched worker count can hide. The
-# duration is TSan-sized; bench/mega_scenario runs the full shape.
+# The mega scenario's workload through the real worker pool: spray
+# chunks drawn on one worker and read on another, the bounded-skew
+# waits and the merge paths all execute under ThreadSanitizer.
+# Oversubscribed (4 groups, 4 workers on however few cores this
+# machine has) on purpose — preemption points shake out ordering races
+# that a matched worker count can hide. The duration is TSan-sized;
+# bench/mega_scenario runs the full shape.
 ./build-tsan/tools/powerchief-cli \
     --workload=microservice --policy=powerchief --load=high \
     --duration=60 --seed=3 --no-cache \
     --node-groups=4 --shards=4 --remote-fraction=0.2 >/dev/null
 # Same shape with the cluster arbiter on: report/grant traffic rides
-# the cross-shard mailboxes, so the arbiter's rebalance rounds and the
-# nodes' cap retargets all execute under TSan too.
+# the double-buffered mailboxes of the scheduled sync windows, so the
+# arbiter's rebalance rounds and the nodes' cap retargets all execute
+# under TSan too.
 ./build-tsan/tools/powerchief-cli \
     --workload=microservice --policy=powerchief --load=high \
     --duration=60 --seed=3 --no-cache \
