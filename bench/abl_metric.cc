@@ -36,9 +36,6 @@ withMetric(const WorkloadModel &w, LoadLevel level, const char *name)
 int
 main(int argc, char **argv)
 {
-    // Metric-factory scenarios carry code (a std::function) in their
-    // fingerprint-relevant state, so the sweep engine runs them but
-    // never caches them; parallelism and auditing still apply.
     SweepRunner sweep(parseSweepArgs("abl_metric", argc, argv));
     const WorkloadModel sirius = WorkloadModel::sirius();
 

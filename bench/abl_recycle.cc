@@ -35,8 +35,6 @@ withOrder(const WorkloadModel &w, LoadLevel level, const char *name)
 int
 main(int argc, char **argv)
 {
-    // Recycle-factory scenarios are uncacheable (see abl_metric.cc)
-    // but still run concurrently through the sweep engine.
     SweepRunner sweep(parseSweepArgs("abl_recycle", argc, argv));
     const WorkloadModel sirius = WorkloadModel::sirius();
 

@@ -9,16 +9,15 @@
  * levels, power budgets, and fault planes (a zero-rate armed injector
  * and a lossy fabric with message drops, reordering and stale/
  * truncated wire telemetry). Every point goes through the SweepRunner
- * (--jobs parallelism, content-addressed result cache) with traces and
+ * (--jobs parallelism, optional determinism audit) with traces and
  * decision-audit collection on, and the binary prints one comparison
  * table per matrix cell: p95/p99 tail latency, QoS violation rate,
  * actuated watts, and the audit's prediction MAPE.
  *
  * The table and the --out JSON report (schema "powerchief-arena-v3",
  * rendered by tools/arena_report.py) are pure functions of the
- * RunResults in submission order: no wall-clock timing, job counts or
- * cache statistics leak into them, so the report is byte-identical at
- * any --jobs value and across cache hits and misses.
+ * RunResults in submission order: no wall-clock timing or job counts
+ * leak into them, so the report is byte-identical at any --jobs value.
  */
 
 #include <algorithm>
@@ -378,11 +377,9 @@ main(int argc, char **argv)
                     report.divergences.size());
         ok = false;
     }
-    // Cache/job statistics go to stderr: the stdout table and the JSON
+    // Sweep statistics go to stderr: the stdout table and the JSON
     // report must not depend on how the sweep was executed.
-    std::fprintf(stderr,
-                 "arena: %zu points, %zu executed, %zu cache hits\n",
-                 report.total, report.cacheMisses, report.cacheHits);
+    std::fprintf(stderr, "arena: %zu points\n", report.total);
 
     if (!flags.getString("out").empty()) {
         JsonObject root;

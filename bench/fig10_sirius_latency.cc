@@ -9,7 +9,7 @@
  * stage-agnostic baseline (paper: 20.3x avg, 13.3x p99).
  *
  * All 12 runs execute concurrently through the sweep engine
- * (--jobs/--no-cache/--audit, see exp/sweep.h).
+ * (--jobs/--audit, see exp/sweep.h).
  */
 
 #include <iostream>

@@ -15,11 +15,11 @@
  *
  * The table and --out JSON report (schema "powerchief-fleet-v1") are
  * pure functions of the RunResults in submission order — byte-identical
- * at any --jobs/--shards value and across cache hits. With --gate
- * (default on) the binary fails unless the demand-proportional
- * arbiter strictly improves fleet p99 AND SLO-violation-seconds over
- * the static split in every cell: the acceptance bar for the cluster
- * layer, enforced in CI (tools/check.sh). The default --load-scale
+ * at any --jobs/--shards value. With --gate (default on) the binary
+ * fails unless the demand-proportional arbiter strictly improves fleet
+ * p99 AND SLO-violation-seconds over the static split in every cell:
+ * the acceptance bar for the cluster layer, enforced in CI
+ * (tools/check.sh). The default --load-scale
  * pushes the hot group past what a static cap/N share can serve while
  * leaving fleet-wide watts to spare — the regime a demand-driven
  * split exists for.
@@ -275,9 +275,7 @@ main(int argc, char **argv)
                     report.divergences.size());
         ok = false;
     }
-    std::fprintf(stderr,
-                 "fleet: %zu points, %zu executed, %zu cache hits\n",
-                 report.total, report.cacheMisses, report.cacheHits);
+    std::fprintf(stderr, "fleet: %zu points\n", report.total);
 
     if (!flags.getString("out").empty()) {
         JsonObject root;

@@ -1,16 +1,6 @@
 #include "exp/result_cache.h"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <thread>
-
-#include "common/logging.h"
-
 namespace pc {
-
-namespace fs = std::filesystem;
 
 std::uint64_t
 fnv1a64(const std::string &text)
@@ -21,129 +11,6 @@ fnv1a64(const std::string &text)
         hash *= 1099511628211ull;
     }
     return hash;
-}
-
-namespace {
-
-void
-appendNum(std::string *out, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g,", v);
-    *out += buf;
-}
-
-void
-appendInt(std::string *out, long long v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld,", v);
-    *out += buf;
-}
-
-void
-appendTime(std::string *out, SimTime t)
-{
-    appendInt(out, static_cast<long long>(t.toUsec()));
-}
-
-} // namespace
-
-std::optional<std::string>
-scenarioCanonical(const Scenario &sc)
-{
-    // Factory overrides are opaque code: no canonical form, no caching.
-    if (sc.metricFactory || sc.recycleFactory)
-        return std::nullopt;
-
-    std::string out = "scenario-v1|";
-    out += sc.name;
-    out += "|workload:";
-    out += sc.workload.name();
-    for (const auto &stage : sc.workload.stages()) {
-        out += "{" + stage.name + ",";
-        appendNum(&out, stage.meanServiceSec);
-        appendNum(&out, stage.cv);
-        appendNum(&out, stage.computeFraction);
-        appendInt(&out, stage.profiledMhz);
-        appendNum(&out, stage.participation);
-        appendInt(&out, static_cast<long long>(stage.kind));
-        appendNum(&out, stage.shardCv);
-        out += "}";
-    }
-    out += "|";
-    out += sc.load.canonical();
-    out += "|policy:";
-    appendInt(&out, static_cast<long long>(sc.policy));
-    appendInt(&out, sc.fixedStage);
-    appendInt(&out, static_cast<long long>(sc.fixedTechnique));
-    appendNum(&out, sc.qosTargetSec);
-    appendInt(&out, sc.qosUseTail ? 1 : 0);
-    out += "|chip:";
-    appendInt(&out, sc.numCores);
-    appendNum(&out, sc.powerBudget.value());
-    out += "|layout:";
-    for (const int count : sc.initialCounts)
-        appendInt(&out, count);
-    out += ";";
-    appendInt(&out, sc.initialLevel);
-    for (const int level : sc.initialLevels)
-        appendInt(&out, level);
-    out += "|dispatch:";
-    appendInt(&out, static_cast<long long>(sc.dispatch));
-    appendInt(&out, sc.wireReports ? 1 : 0);
-    out += "|interference:";
-    appendNum(&out, sc.interference.alphaPerCore);
-    appendInt(&out, sc.interference.freeCores);
-    out += "|control:";
-    appendTime(&out, sc.control.adjustInterval);
-    appendTime(&out, sc.control.withdrawInterval);
-    appendTime(&out, sc.control.statsWindow);
-    appendNum(&out, sc.control.balanceThresholdSec);
-    appendTime(&out, sc.control.e2eWindow);
-    appendInt(&out, sc.control.enableWithdraw ? 1 : 0);
-    // Appended only when set so historical cache keys stay valid.
-    if (sc.control.staleWindow > SimTime::zero()) {
-        out += "stale:";
-        appendTime(&out, sc.control.staleWindow);
-    }
-    if (sc.faults.active) {
-        out += "|";
-        out += sc.faults.canonical();
-    }
-    // Sharded topology is part of what is simulated (each node group is
-    // a full replica plus the cross-group spray); appended only when
-    // nodeGroups > 1 so single-node keys keep their historical form.
-    // The --shards worker count is deliberately absent: it cannot
-    // change results.
-    if (sc.nodeGroups > 1) {
-        out += "|nodes:";
-        appendInt(&out, sc.nodeGroups);
-        appendNum(&out, sc.remoteFraction);
-        appendTime(&out, sc.interNodeLatency);
-        // Per-group load skew changes every group's arrival curve;
-        // appended only when set so unskewed keys keep their form.
-        if (!sc.groupLoadScale.empty()) {
-            out += "scale:";
-            for (const double s : sc.groupLoadScale)
-                appendNum(&out, s);
-        }
-    }
-    // Cluster arbitration retargets every node's budget mid-run —
-    // emphatically result-affecting. Appended only when a cluster
-    // policy is active so pre-cluster keys keep their historical form.
-    if (sc.clusterPolicy != ClusterPolicyKind::None) {
-        out += "|cluster:";
-        out += toString(sc.clusterPolicy);
-        out += ",";
-        appendTime(&out, sc.rebalanceInterval);
-        appendNum(&out, sc.clusterBudget.value());
-    }
-    out += "|run:";
-    appendTime(&out, sc.duration);
-    appendTime(&out, sc.warmup);
-    appendInt(&out, static_cast<long long>(sc.seed));
-    return out;
 }
 
 namespace {
@@ -162,27 +29,6 @@ seriesToJson(const TimeSeries &series)
     obj.emplace("name", series.name());
     obj.emplace("points", JsonValue(std::move(points)));
     return JsonValue(std::move(obj));
-}
-
-std::optional<TimeSeries>
-seriesFromJson(const JsonValue &doc)
-{
-    if (!doc.isObject())
-        return std::nullopt;
-    const JsonValue *name = doc.find("name");
-    const JsonValue *points = doc.find("points");
-    if (!name || !name->isString() || !points || !points->isArray())
-        return std::nullopt;
-    TimeSeries series(name->asString());
-    for (const auto &p : points->asArray()) {
-        if (!p.isArray() || p.asArray().size() != 2 ||
-            !p.asArray()[0].isNumber() || !p.asArray()[1].isNumber())
-            return std::nullopt;
-        series.append(SimTime::usec(static_cast<std::int64_t>(
-                          p.asArray()[0].asNumber())),
-                      p.asArray()[1].asNumber());
-    }
-    return series;
 }
 
 JsonValue
@@ -220,56 +66,6 @@ attributionToJson(const TailAttributionReport &report)
     obj.emplace("cuts", JsonValue(std::move(cuts)));
     obj.emplace("span_quantiles", JsonValue(std::move(quantiles)));
     return JsonValue(std::move(obj));
-}
-
-std::optional<TailAttributionReport>
-attributionFromJson(const JsonValue &doc)
-{
-    if (!doc.isObject())
-        return std::nullopt;
-    TailAttributionReport report;
-    report.enabled = true;
-    report.queries =
-        static_cast<std::uint64_t>(doc.numberOr("queries", 0));
-    const JsonValue *cuts = doc.find("cuts");
-    const JsonValue *quantiles = doc.find("span_quantiles");
-    if (!cuts || !cuts->isArray() || !quantiles ||
-        !quantiles->isArray())
-        return std::nullopt;
-    for (const auto &entry : cuts->asArray()) {
-        if (!entry.isObject())
-            return std::nullopt;
-        TailCut cut;
-        cut.q = entry.numberOr("q", 0.0);
-        cut.tailCount = static_cast<std::uint64_t>(
-            entry.numberOr("tail_count", 0));
-        cut.thresholdSec = entry.numberOr("threshold_s", 0.0);
-        cut.meanTailSec = entry.numberOr("mean_tail_s", 0.0);
-        cut.truncated = entry.boolOr("truncated", false);
-        const JsonValue *stages = entry.find("stages");
-        if (!stages || !stages->isArray())
-            return std::nullopt;
-        for (const auto &stage : stages->asArray()) {
-            if (!stage.isObject())
-                return std::nullopt;
-            StageSpan span;
-            span.queuingSec = stage.numberOr("queuing_s", 0.0);
-            span.servingSec = stage.numberOr("serving_s", 0.0);
-            cut.stages.push_back(span);
-        }
-        report.cuts.push_back(std::move(cut));
-    }
-    for (const auto &entry : quantiles->asArray()) {
-        if (!entry.isObject())
-            return std::nullopt;
-        StageSpanQuantiles q;
-        q.queueP95Sec = entry.numberOr("queue_p95_s", 0.0);
-        q.queueP99Sec = entry.numberOr("queue_p99_s", 0.0);
-        q.serveP95Sec = entry.numberOr("serve_p95_s", 0.0);
-        q.serveP99Sec = entry.numberOr("serve_p99_s", 0.0);
-        report.spanQuantiles.push_back(q);
-    }
-    return report;
 }
 
 } // namespace
@@ -364,211 +160,6 @@ runResultToJson(const RunResult &result)
     if (result.slo.collected)
         obj.emplace("slo", sloReportToJson(result.slo));
     return JsonValue(std::move(obj));
-}
-
-std::optional<RunResult>
-runResultFromJson(const JsonValue &doc)
-{
-    if (!doc.isObject())
-        return std::nullopt;
-    RunResult result;
-    result.scenario = doc.stringOr("scenario", "");
-    result.submitted =
-        static_cast<std::uint64_t>(doc.numberOr("submitted", 0));
-    result.completed =
-        static_cast<std::uint64_t>(doc.numberOr("completed", 0));
-    result.avgLatencySec = doc.numberOr("avg_latency_s", 0.0);
-    result.p99LatencySec = doc.numberOr("p99_latency_s", 0.0);
-    result.maxLatencySec = doc.numberOr("max_latency_s", 0.0);
-    result.avgPowerWatts = doc.numberOr("avg_power_w", 0.0);
-    result.energyJoules = doc.numberOr("energy_j", 0.0);
-
-    const JsonValue *stages = doc.find("stage_breakdown");
-    if (!stages || !stages->isArray())
-        return std::nullopt;
-    for (const auto &entry : stages->asArray()) {
-        if (!entry.isObject())
-            return std::nullopt;
-        StageBreakdown b;
-        b.avgQueuingSec = entry.numberOr("avg_queuing_s", 0.0);
-        b.avgServingSec = entry.numberOr("avg_serving_s", 0.0);
-        b.hops = static_cast<std::uint64_t>(entry.numberOr("hops", 0));
-        result.stageBreakdown.push_back(b);
-    }
-
-    const JsonValue *latency = doc.find("latency_series");
-    const JsonValue *power = doc.find("power_series");
-    if (!latency || !power)
-        return std::nullopt;
-    auto latencySeries = seriesFromJson(*latency);
-    auto powerSeries = seriesFromJson(*power);
-    if (!latencySeries || !powerSeries)
-        return std::nullopt;
-    result.latencySeries = std::move(*latencySeries);
-    result.powerSeries = std::move(*powerSeries);
-
-    const JsonValue *counts = doc.find("stage_instance_counts");
-    if (!counts || !counts->isArray())
-        return std::nullopt;
-    for (const auto &entry : counts->asArray()) {
-        auto series = seriesFromJson(entry);
-        if (!series)
-            return std::nullopt;
-        result.stageInstanceCounts.push_back(std::move(*series));
-    }
-
-    const JsonValue *freqs = doc.find("instance_frequency_ghz");
-    if (!freqs || !freqs->isObject())
-        return std::nullopt;
-    for (const auto &[name, entry] : freqs->asObject()) {
-        auto series = seriesFromJson(entry);
-        if (!series)
-            return std::nullopt;
-        result.instanceFrequencyGHz.emplace(name, std::move(*series));
-    }
-
-    if (const JsonValue *attribution = doc.find("tail_attribution")) {
-        auto report = attributionFromJson(*attribution);
-        if (!report)
-            return std::nullopt;
-        result.tailAttribution = std::move(*report);
-    }
-
-    if (const JsonValue *audit = doc.find("audit")) {
-        if (!audit->isObject())
-            return std::nullopt;
-        result.audit.collected = true;
-        result.audit.mapePct = audit->numberOr("mape_pct", 0.0);
-        result.audit.mapeFreqPct =
-            audit->numberOr("mape_freq_pct", 0.0);
-        result.audit.mapeInstPct =
-            audit->numberOr("mape_inst_pct", 0.0);
-        result.audit.scored = static_cast<std::uint64_t>(
-            audit->numberOr("scored", 0));
-        result.audit.flips = static_cast<std::uint64_t>(
-            audit->numberOr("flips", 0));
-        result.audit.selects = static_cast<std::uint64_t>(
-            audit->numberOr("selects", 0));
-        result.audit.recycles = static_cast<std::uint64_t>(
-            audit->numberOr("recycles", 0));
-        result.audit.withdraws = static_cast<std::uint64_t>(
-            audit->numberOr("withdraws", 0));
-        result.audit.staleSkips = static_cast<std::uint64_t>(
-            audit->numberOr("stale_skips", 0));
-        result.audit.plans = static_cast<std::uint64_t>(
-            audit->numberOr("plans", 0));
-        result.audit.misboosts = static_cast<std::uint64_t>(
-            audit->numberOr("misboosts", 0));
-        result.audit.clusterRebalances = static_cast<std::uint64_t>(
-            audit->numberOr("cluster_rebalances", 0));
-    }
-
-    if (const JsonValue *critpath = doc.find("critpath")) {
-        if (!critpath->isObject())
-            return std::nullopt;
-        result.critpath.collected = true;
-        result.critpath.queries = static_cast<std::uint64_t>(
-            critpath->numberOr("queries", 0));
-        result.critpath.scoredIntervals = static_cast<std::uint64_t>(
-            critpath->numberOr("scored", 0));
-        result.critpath.agreeIntervals = static_cast<std::uint64_t>(
-            critpath->numberOr("agree", 0));
-        result.critpath.boostIntervals = static_cast<std::uint64_t>(
-            critpath->numberOr("boost_intervals", 0));
-        result.critpath.misboosts = static_cast<std::uint64_t>(
-            critpath->numberOr("misboosts", 0));
-        result.critpath.agreementRate =
-            critpath->numberOr("agreement_rate", 0.0);
-        result.critpath.meanShorteningPct =
-            critpath->numberOr("mean_shortening_pct", 0.0);
-        if (const JsonValue *shares = critpath->find("stage_share")) {
-            if (!shares->isArray())
-                return std::nullopt;
-            for (const auto &share : shares->asArray()) {
-                if (!share.isNumber())
-                    return std::nullopt;
-                result.critpath.stageShare.push_back(share.asNumber());
-            }
-        }
-    }
-
-    if (const JsonValue *slo = doc.find("slo")) {
-        if (!slo->isObject())
-            return std::nullopt;
-        result.slo = sloReportFromJson(*slo);
-    }
-    return result;
-}
-
-ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {}
-
-std::string
-ResultCache::pathFor(const std::string &key) const
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(key)));
-    return (fs::path(dir_) / (std::string(buf) + ".json")).string();
-}
-
-std::optional<RunResult>
-ResultCache::load(const std::string &key) const
-{
-    std::ifstream in(pathFor(key));
-    if (!in)
-        return std::nullopt;
-    std::ostringstream text;
-    text << in.rdbuf();
-    const JsonParseResult parsed = parseJson(text.str());
-    if (!parsed.ok()) {
-        logWarn("result cache: unparsable entry '%s' ignored",
-                pathFor(key).c_str());
-        return std::nullopt;
-    }
-    // Guard against hash collisions and stale schema: the entry must
-    // carry the exact canonical key it was stored under.
-    if (parsed.value->stringOr("key", "") != key)
-        return std::nullopt;
-    const JsonValue *result = parsed.value->find("result");
-    if (!result)
-        return std::nullopt;
-    return runResultFromJson(*result);
-}
-
-void
-ResultCache::store(const std::string &key, const RunResult &result) const
-{
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    if (ec) {
-        logWarn("result cache: cannot create '%s': %s", dir_.c_str(),
-                ec.message().c_str());
-        return;
-    }
-    JsonObject entry;
-    entry.emplace("key", key);
-    entry.emplace("result", runResultToJson(result));
-
-    // Unique temp name per thread, then atomic rename: concurrent
-    // stores of the same key are harmless (identical content).
-    std::ostringstream tid;
-    tid << std::this_thread::get_id();
-    const std::string path = pathFor(key);
-    const std::string tmp = path + ".tmp." + tid.str();
-    {
-        std::ofstream out(tmp);
-        if (!out) {
-            logWarn("result cache: cannot write '%s'", tmp.c_str());
-            return;
-        }
-        out << JsonValue(std::move(entry)).dump();
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        logWarn("result cache: rename to '%s' failed: %s", path.c_str(),
-                ec.message().c_str());
-        fs::remove(tmp, ec);
-    }
 }
 
 } // namespace pc

@@ -1,25 +1,18 @@
 /**
  * @file
- * Content-addressed on-disk cache of experiment results.
+ * The JSON form of a RunResult.
  *
- * A sweep point is identified by the canonical text description of its
- * scenario (every field that can influence the simulation, doubles
- * rendered with full precision) plus the runner settings; the cache
- * stores the run's RunResult as JSON under <dir>/<fnv1a-hex>.json.
- * Re-running an unchanged sweep point loads the stored result instead
- * of simulating — byte-identical to a fresh run, because the JSON
- * codec round-trips every double exactly and SimTime as raw
- * microseconds.
- *
- * Scenarios carrying opaque factory overrides (ablation metric/recycle
- * hooks) have no canonical form and are never cached.
+ * runResultToJson renders every field of a run — doubles with full
+ * precision, SimTime as raw microseconds — so two runs are identical
+ * exactly when their dumps are. The determinism audit, sim_digest,
+ * trace-diff and the golden-trace tests compare and pin results
+ * through it; fnv1a64 condenses a dump into a short digest.
  */
 
 #ifndef PC_EXP_RESULT_CACHE_H
 #define PC_EXP_RESULT_CACHE_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "common/json.h"
@@ -30,40 +23,8 @@ namespace pc {
 /** FNV-1a 64-bit hash of @p text. */
 std::uint64_t fnv1a64(const std::string &text);
 
-/**
- * Canonical description of a scenario — equal scenarios yield equal
- * strings, and any field change changes the string.
- *
- * @return nullopt when the scenario is uncacheable (factory overrides).
- */
-std::optional<std::string> scenarioCanonical(const Scenario &sc);
-
 /** Serialize a RunResult (including traces) to JSON. */
 JsonValue runResultToJson(const RunResult &result);
-
-/** Parse a RunResult back; nullopt when the document is malformed. */
-std::optional<RunResult> runResultFromJson(const JsonValue &doc);
-
-class ResultCache
-{
-  public:
-    /** @param dir created on first store; missing dir = all misses. */
-    explicit ResultCache(std::string dir);
-
-    /** Look up a result by its cache key (canonical description). */
-    std::optional<RunResult> load(const std::string &key) const;
-
-    /** Persist a result under @p key (atomic rename; best effort). */
-    void store(const std::string &key, const RunResult &result) const;
-
-    /** The on-disk file backing @p key. */
-    std::string pathFor(const std::string &key) const;
-
-    const std::string &dir() const { return dir_; }
-
-  private:
-    std::string dir_;
-};
 
 } // namespace pc
 

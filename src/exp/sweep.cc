@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <numeric>
 #include <thread>
 
 #include "common/logging.h"
@@ -48,44 +49,6 @@ SweepRunner::effectiveJobs() const
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-std::string
-SweepRunner::cacheKeyFor(const std::string &canonical) const
-{
-    // Cache-identity audit (every result-affecting knob must appear in
-    // the key; tests/test_sweep_runner.cc flips each one and asserts a
-    // miss):
-    //  - scenario knobs — including the sharded topology, per-group
-    //    load skew and the cluster-policy/rebalance-interval/
-    //    cluster-budget block — live in Scenario's canonical form
-    //    (result_cache.cc scenarioCanonical), which is `canonical`;
-    //  - SLO target/objective/window flags arrive via
-    //    options_.slo.canonical() below;
-    //  - the alert threshold (and every other telemetry flag) is NOT
-    //    in the key on purpose: telemetry-enabled sweeps bypass the
-    //    cache entirely (runAll's telemetryOn), so no entry is ever
-    //    stored or served for them;
-    //  - --jobs and --shards are execution knobs that cannot change
-    //    results and are deliberately absent.
-    // Runner settings change what a RunResult contains, so they are
-    // part of the identity of a sweep point.
-    char buf[80];
-    std::snprintf(buf, sizeof(buf),
-                  "|runner:traces=%d,sample=%lld,attr=%d",
-                  options_.recordTraces ? 1 : 0,
-                  static_cast<long long>(
-                      options_.sampleInterval.toUsec()),
-                  options_.attribution ? 1 : 0);
-    std::string key = canonical + buf;
-    // Appended only when set so historical cache keys stay valid.
-    if (options_.collectAudit)
-        key += ",audit=1";
-    if (options_.collectCritPath)
-        key += ",critpath=1";
-    if (options_.slo.enabled)
-        key += "," + options_.slo.canonical();
-    return key;
-}
-
 std::vector<RunResult>
 SweepRunner::runAll(const std::vector<Scenario> &scenarios)
 {
@@ -93,10 +56,7 @@ SweepRunner::runAll(const std::vector<Scenario> &scenarios)
     report_.total = scenarios.size();
 
     std::vector<RunResult> results(scenarios.size());
-    std::vector<bool> executed(scenarios.size(), false);
 
-    // Telemetry output files are side effects only execution produces,
-    // so telemetry-enabled sweeps bypass the result cache entirely.
     const bool telemetryOn = options_.telemetry.anyEnabled();
     std::vector<TelemetryConfig> telemetryConfigs;
     if (telemetryOn) {
@@ -107,61 +67,29 @@ SweepRunner::runAll(const std::vector<Scenario> &scenarios)
                 options_.telemetry.resolved(sc.name, multiRun));
     }
 
-    ResultCache cache(options_.cacheDir);
-    std::vector<std::optional<std::string>> keys(scenarios.size());
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        const auto canonical = scenarioCanonical(scenarios[i]);
-        if (!canonical) {
-            ++report_.uncacheable;
-            continue;
-        }
-        keys[i] = cacheKeyFor(*canonical);
-    }
-
-    // Serve cache hits first so the pool only sees real work.
-    std::vector<std::size_t> toRun;
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        if (options_.useCache && !telemetryOn && keys[i]) {
-            if (auto cached = cache.load(*keys[i])) {
-                results[i] = std::move(*cached);
-                ++report_.cacheHits;
-                continue;
-            }
-        }
-        toRun.push_back(i);
-    }
-    report_.cacheMisses = toRun.size();
-
     // Each task writes only its own slot, runs its own Simulator, and
     // draws from its own seeded Rng streams — no shared mutable state.
     {
-        ThreadPool pool(
-            std::min<int>(effectiveJobs(),
-                          std::max<std::size_t>(toRun.size(), 1)));
-        for (const std::size_t i : toRun) {
+        ThreadPool pool(std::min<int>(
+            effectiveJobs(), std::max<std::size_t>(scenarios.size(), 1)));
+        for (std::size_t i = 0; i < scenarios.size(); ++i) {
             pool.submit([this, i, telemetryOn, &telemetryConfigs,
-                         &scenarios, &results, &keys, &cache]() {
+                         &scenarios, &results]() {
                 results[i] = execute(scenarios[i],
                                      telemetryOn ? &telemetryConfigs[i]
                                                  : nullptr);
-                if (options_.useCache && !telemetryOn && keys[i])
-                    cache.store(*keys[i], results[i]);
             });
         }
         pool.wait();
     }
-    for (const std::size_t i : toRun)
-        executed[i] = true;
 
     // Cross-run totals live in the process-wide registry.
-    MetricsRegistry &global = MetricsRegistry::global();
-    global.counter("sweep.runs_total")
-        .add(static_cast<double>(toRun.size()));
-    global.counter("sweep.cache_hits_total")
-        .add(static_cast<double>(report_.cacheHits));
+    MetricsRegistry::global()
+        .counter("sweep.runs_total")
+        .add(static_cast<double>(scenarios.size()));
 
     if (options_.audit)
-        audit(scenarios, results, executed);
+        audit(scenarios, results);
     return results;
 }
 
@@ -173,39 +101,34 @@ SweepRunner::runOne(const Scenario &scenario)
 
 void
 SweepRunner::audit(const std::vector<Scenario> &scenarios,
-                   const std::vector<RunResult> &results,
-                   const std::vector<bool> &executed)
+                   const std::vector<RunResult> &results)
 {
-    // Audit only points that were actually simulated in parallel this
-    // call; cached results are covered by the key check on load.
-    std::vector<std::size_t> ran;
-    for (std::size_t i = 0; i < scenarios.size(); ++i)
-        if (executed[i])
-            ran.push_back(i);
-    if (ran.empty())
+    if (scenarios.empty())
         return;
+    std::vector<std::size_t> sample(scenarios.size());
+    std::iota(sample.begin(), sample.end(), std::size_t{0});
 
     std::size_t want = static_cast<std::size_t>(
-        options_.auditFraction * static_cast<double>(ran.size()) + 0.5);
+        options_.auditFraction * static_cast<double>(sample.size()) + 0.5);
     want = std::clamp<std::size_t>(
         want, std::min<std::size_t>(
                   static_cast<std::size_t>(
                       std::max(options_.auditMinRuns, 1)),
-                  ran.size()),
-        ran.size());
+                  sample.size()),
+        sample.size());
 
     // Deterministic sample: Fisher-Yates prefix with a seeded Rng.
     Rng rng(options_.auditSeed);
     for (std::size_t i = 0; i < want; ++i) {
         const auto j = static_cast<std::size_t>(rng.uniformInt(
             static_cast<std::int64_t>(i),
-            static_cast<std::int64_t>(ran.size()) - 1));
-        std::swap(ran[i], ran[j]);
+            static_cast<std::int64_t>(sample.size()) - 1));
+        std::swap(sample[i], sample[j]);
     }
-    ran.resize(want);
-    std::sort(ran.begin(), ran.end());
+    sample.resize(want);
+    std::sort(sample.begin(), sample.end());
 
-    for (const std::size_t i : ran) {
+    for (const std::size_t i : sample) {
         ++report_.audited;
         // No telemetry on the serial re-run: it must not clobber the
         // files the parallel pass just wrote.
@@ -240,10 +163,6 @@ addSweepFlags(FlagSet *flags)
                   "worker threads per sharded run (scenarios with "
                   "node groups; 0 = one per hardware thread). Results "
                   "are bit-identical at any value");
-    flags->addBool("no-cache", false,
-                   "bypass the on-disk sweep result cache");
-    flags->addString("cache-dir", ".powerchief-cache",
-                     "directory of the sweep result cache");
     flags->addBool("audit", false,
                    "re-run a sampled subset single-threaded and panic "
                    "on any determinism divergence");
@@ -256,8 +175,6 @@ sweepOptionsFromFlags(const FlagSet &flags)
     SweepOptions options;
     options.jobs = static_cast<int>(flags.getInt("jobs"));
     options.shards = static_cast<int>(flags.getInt("shards"));
-    options.useCache = !flags.getBool("no-cache");
-    options.cacheDir = flags.getString("cache-dir");
     options.audit = flags.getBool("audit");
     options.attribution = flags.getBool("attribution");
     options.telemetry = telemetryConfigFromFlags(flags);

@@ -9,12 +9,9 @@
  * are bit-identical regardless of thread count or completion order and
  * are always collected in submission order.
  *
- * Two correctness mechanisms ride along:
- *  - a content-addressed on-disk result cache (exp/result_cache.h)
- *    lets re-runs of unchanged sweep points skip simulation entirely;
- *  - a determinism audit re-runs a sampled subset of sweep points
- *    single-threaded after the parallel pass and panics (by default)
- *    on any divergence from the parallel results.
+ * A determinism audit rides along: it re-runs a sampled subset of
+ * sweep points single-threaded after the parallel pass and panics (by
+ * default) on any divergence from the parallel results.
  */
 
 #ifndef PC_EXP_SWEEP_H
@@ -35,15 +32,17 @@ struct SweepOptions
     /** Worker threads; <= 0 means one per hardware thread. */
     int jobs = 0;
 
-    /** Serve/store results through the on-disk cache. */
+    /**
+     * Read by nothing: kept only because perfbench assigns it, and
+     * removed with the next change to the benchmark.
+     */
     bool useCache = false;
-    std::string cacheDir = ".powerchief-cache";
 
     /** Re-run a sampled subset single-threaded and compare. */
     bool audit = false;
-    /** Fraction of executed sweep points the audit re-runs. */
+    /** Fraction of the sweep points the audit re-runs. */
     double auditFraction = 0.25;
-    /** Audit at least this many points (when any were executed). */
+    /** Audit at least this many points (when the sweep has any). */
     int auditMinRuns = 1;
     /** Seed for the audit's deterministic sample choice. */
     std::uint64_t auditSeed = 0x5eedau;
@@ -58,41 +57,28 @@ struct SweepOptions
      * Worker threads driving the shards of a sharded run (a scenario
      * with nodeGroups > 1); <= 0 means one per hardware thread. Pure
      * execution knob: results and artifacts are bit-identical at any
-     * value, so it is deliberately NOT part of the cache key.
+     * value.
      */
     int shards = 1;
 
     /** Collect per-run tail-attribution reports (--attribution). */
     bool attribution = false;
 
-    /**
-     * Collect per-run decision-audit summaries (RunResult::audit).
-     * Unlike telemetry outputs this is a pure in-memory result field,
-     * so audit-collecting sweeps stay cacheable (under their own key).
-     */
+    /** Collect per-run decision-audit summaries (RunResult::audit). */
     bool collectAudit = false;
 
-    /**
-     * Track the latency SLO per run (RunResult::slo). Like the audit
-     * summary this is an in-memory result field — SLO-tracking sweeps
-     * stay cacheable under their own key (SloConfig::canonical()).
-     */
+    /** Track the latency SLO per run (RunResult::slo). */
     SloConfig slo;
 
-    /**
-     * Collect per-run critical-path summaries (RunResult::critpath).
-     * Like the audit summary this is a pure in-memory result field, so
-     * critpath-collecting sweeps stay cacheable (own cache key).
-     */
+    /** Collect per-run critical-path summaries (RunResult::critpath). */
     bool collectCritPath = false;
 
     /**
      * Observability outputs (--trace-out/--metrics-out). In multi-
      * scenario sweeps the paths are resolved per scenario so parallel
-     * runs never interleave writes to one file. Runs with telemetry
-     * enabled bypass the result cache: their output files are side
-     * effects only execution produces. The determinism audit re-runs
-     * without telemetry and never clobbers the parallel pass's files.
+     * runs never interleave writes to one file. The determinism audit
+     * re-runs without telemetry and never clobbers the parallel pass's
+     * files.
      */
     TelemetryConfig telemetry;
 };
@@ -111,9 +97,6 @@ struct SweepDivergence
 struct SweepReport
 {
     std::size_t total = 0;
-    std::size_t cacheHits = 0;
-    std::size_t cacheMisses = 0;   // executed (cache enabled or not)
-    std::size_t uncacheable = 0;   // factory-override scenarios
     std::size_t audited = 0;
     std::vector<SweepDivergence> divergences;
 };
@@ -131,7 +114,7 @@ class SweepRunner
      */
     std::vector<RunResult> runAll(const std::vector<Scenario> &scenarios);
 
-    /** Convenience single-run (still cached/audited per options). */
+    /** Convenience single-run (still audited per options). */
     RunResult runOne(const Scenario &scenario);
 
     const SweepReport &report() const { return report_; }
@@ -147,12 +130,10 @@ class SweepRunner
     void setRunFunction(RunFn fn);
 
   private:
-    std::string cacheKeyFor(const std::string &canonical) const;
     RunResult execute(const Scenario &scenario,
                       const TelemetryConfig *telemetry) const;
     void audit(const std::vector<Scenario> &scenarios,
-               const std::vector<RunResult> &results,
-               const std::vector<bool> &executed);
+               const std::vector<RunResult> &results);
 
     SweepOptions options_;
     /** Test-injected override; null = the real ExperimentRunner. */
@@ -161,8 +142,8 @@ class SweepRunner
 };
 
 /**
- * Register the standard sweep flags: --jobs, --no-cache, --cache-dir,
- * --audit. Shared by every bench binary and the CLI.
+ * Register the standard sweep flags: --jobs, --shards, --audit and the
+ * telemetry flags. Shared by every bench binary and the CLI.
  */
 void addSweepFlags(FlagSet *flags);
 

@@ -1,6 +1,5 @@
 #include "faults/fault_plan.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -38,59 +37,6 @@ FaultPlan::anyEffect() const
             return true;
     return telemetry.truncateRate > 0.0 || telemetry.staleRate > 0.0 ||
         telemetry.raplFailRate > 0.0 || telemetry.perfCtlFailRate > 0.0;
-}
-
-namespace {
-
-void
-appendNum(std::string *out, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g,", v);
-    *out += buf;
-}
-
-void
-appendInt(std::string *out, long long v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld,", v);
-    *out += buf;
-}
-
-} // namespace
-
-std::string
-FaultPlan::canonical() const
-{
-    if (!active)
-        return std::string();
-    std::string out = "faults-v1|seed:";
-    appendInt(&out, static_cast<long long>(seed));
-    out += "|bus:";
-    for (const auto &rule : bus) {
-        out += "{" + rule.endpoint + ",";
-        appendNum(&out, rule.dropRate);
-        appendNum(&out, rule.duplicateRate);
-        appendNum(&out, rule.reorderRate);
-        appendInt(&out, static_cast<long long>(
-                            rule.reorderJitterMax.toUsec()));
-        out += "}";
-    }
-    out += "|crashes:";
-    for (const auto &crash : crashes) {
-        out += "{";
-        appendInt(&out, crash.stage);
-        appendInt(&out, static_cast<long long>(crash.at.toUsec()));
-        appendInt(&out, static_cast<long long>(crash.recovery.toUsec()));
-        out += "}";
-    }
-    out += "|telemetry:";
-    appendNum(&out, telemetry.truncateRate);
-    appendNum(&out, telemetry.staleRate);
-    appendNum(&out, telemetry.raplFailRate);
-    appendNum(&out, telemetry.perfCtlFailRate);
-    return out;
 }
 
 namespace {

@@ -109,12 +109,6 @@ struct FaultPlan
 
     /** Whether any configured rate or crash can actually fire. */
     bool anyEffect() const;
-
-    /**
-     * Canonical text form for result-cache keys. Inactive plans return
-     * the empty string so pre-existing cache entries stay valid.
-     */
-    std::string canonical() const;
 };
 
 /**

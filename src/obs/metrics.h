@@ -10,7 +10,7 @@
  * sweep engine executes many runs concurrently, and per-run ownership
  * is what keeps dumps byte-identical at any --jobs value); the
  * process-wide global() registry carries cross-run counters such as
- * sweep cache hits and the Logger's warning/error totals.
+ * the sweep's run total and the Logger's warning/error totals.
  *
  * Counters and gauges are lock-free (atomics) and safe to touch from
  * the sweep's worker threads; histograms are single-writer, which

@@ -1,21 +1,10 @@
 #include "obs/slo.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/logging.h"
 
 namespace pc {
-
-std::string
-SloConfig::canonical() const
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "slo=1,target=%.17g,obj=%.17g,fw=%.17g,sw=%.17g",
-                  targetSec, objective, fastWindowSec, slowWindowSec);
-    return buf;
-}
 
 SloTracker::SloTracker(const SloConfig &config, double resolvedTargetSec)
     : targetSec_(resolvedTargetSec), objective_(config.objective)

@@ -22,7 +22,7 @@
  *
  * Deterministic by construction — the tracker sees only simulated
  * times and latencies — so SLO columns are byte-identical at any sweep
- * --jobs value and cacheable like the audit summary.
+ * --jobs value.
  */
 
 #ifndef PC_OBS_SLO_H
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 
 #include "common/json.h"
 #include "common/time.h"
@@ -55,9 +54,6 @@ struct SloConfig
     /** Sliding windows of the burn-rate accounting (seconds). */
     double fastWindowSec = 60.0;
     double slowWindowSec = 300.0;
-
-    /** Cache-key fragment (exp/sweep.cc); stable formatting. */
-    std::string canonical() const;
 };
 
 /** End-of-run SLO accounting, serialized into RunResult. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <numbers>
 
@@ -108,22 +107,6 @@ LoadProfile::scaled(double factor) const
     p.hi_ *= factor;
     p.maxRate_ *= factor;
     return p;
-}
-
-std::string
-LoadProfile::canonical() const
-{
-    char buf[96];
-    std::string out = "load{";
-    for (const auto &p : points_) {
-        std::snprintf(buf, sizeof(buf), "(%lld,%.17g)",
-                      static_cast<long long>(p.t.toUsec()), p.qps);
-        out += buf;
-    }
-    std::snprintf(buf, sizeof(buf), "|%.17g,%.17g,%lld}", lo_, hi_,
-                  static_cast<long long>(period_.toUsec()));
-    out += buf;
-    return out;
 }
 
 double

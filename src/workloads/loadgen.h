@@ -86,13 +86,6 @@ class LoadProfile
     /** Upper bound of λ(t) used by the thinning sampler. */
     double maxRate() const { return maxRate_; }
 
-    /**
-     * Canonical text form of the curve — identical profiles yield
-     * identical strings. Used by the sweep result cache to fingerprint
-     * scenarios (exp/result_cache.h).
-     */
-    std::string canonical() const;
-
   private:
     LoadProfile() = default;
 

@@ -404,7 +404,6 @@ TEST_P(ClusterDeterminism, SweepPoolJobsDoNotChangeResults)
             SweepOptions options;
             options.jobs = jobs;
             options.shards = shards;
-            options.useCache = false;
             SweepRunner sweep(options);
             const RunResult result = sweep.runOne(sc);
             const std::string json = runResultToJson(result).dump();
@@ -476,42 +475,6 @@ INSTANTIATE_TEST_SUITE_P(CleanAndLossy, ClusterDeterminism,
                          [](const auto &info) {
                              return info.param ? "lossy" : "clean";
                          });
-
-// ------------------------------------------------- scenario identity
-
-TEST(ClusterCacheKey, ClusterKnobsArePartOfTheScenarioIdentity)
-{
-    const Scenario base =
-        fleetScenario(ClusterPolicyKind::Waterfill, false);
-    const auto canonical = scenarioCanonical(base);
-    ASSERT_TRUE(canonical.has_value());
-    EXPECT_NE(canonical->find("|cluster:"), std::string::npos);
-    EXPECT_NE(canonical->find("scale:"), std::string::npos);
-
-    Scenario policy = base;
-    policy.clusterPolicy = ClusterPolicyKind::ProportionalDemand;
-    EXPECT_NE(*scenarioCanonical(policy), *canonical);
-
-    Scenario interval = base;
-    interval.rebalanceInterval = SimTime::sec(7);
-    EXPECT_NE(*scenarioCanonical(interval), *canonical);
-
-    Scenario budget = base;
-    budget.clusterBudget = Watts(123.0);
-    EXPECT_NE(*scenarioCanonical(budget), *canonical);
-
-    Scenario skew = base;
-    skew.groupLoadScale[0] = 2.0;
-    EXPECT_NE(*scenarioCanonical(skew), *canonical);
-
-    // Historical-key stability: a non-cluster scenario's canonical
-    // form must not grow a cluster block.
-    Scenario off = base;
-    off.clusterPolicy = ClusterPolicyKind::None;
-    off.groupLoadScale.clear();
-    EXPECT_EQ(scenarioCanonical(off)->find("|cluster:"),
-              std::string::npos);
-}
 
 // -------------------------------------------- topology validation
 

@@ -10,7 +10,6 @@
  */
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -513,6 +512,8 @@ TEST(CritPathSweep, SummariesIdenticalAcrossJobsCleanAndLossy)
             EXPECT_TRUE(r.critpath.collected);
             EXPECT_GT(r.critpath.scoredIntervals, 0u);
             dumps.push_back(dumped(r));
+            EXPECT_NE(dumps.back().find("\"critpath\":"),
+                      std::string::npos);
         }
         perJobs.push_back(std::move(dumps));
     }
@@ -520,39 +521,6 @@ TEST(CritPathSweep, SummariesIdenticalAcrossJobsCleanAndLossy)
         SCOPED_TRACE("scenario " + scenarios[i].name);
         EXPECT_EQ(perJobs[0][i], perJobs[1][i]);
     }
-}
-
-TEST(CritPathSweep, CollectFlagExtendsCacheKeyAndRoundTrips)
-{
-    const std::string dir =
-        testing::TempDir() + "critpath_cache_test";
-    std::filesystem::remove_all(dir);
-    const std::vector<Scenario> scenarios = {cleanScenario(1)};
-
-    SweepOptions with;
-    with.jobs = 1;
-    with.useCache = true;
-    with.cacheDir = dir;
-    with.collectCritPath = true;
-    SweepRunner first(with);
-    const RunResult fresh = first.runAll(scenarios).front();
-    EXPECT_EQ(first.report().cacheMisses, 1u);
-    EXPECT_TRUE(fresh.critpath.collected);
-
-    // Same options hit the cache and round-trip the critpath block.
-    SweepRunner second(with);
-    const RunResult cached = second.runAll(scenarios).front();
-    EXPECT_EQ(second.report().cacheHits, 1u);
-    EXPECT_TRUE(cached.critpath.collected);
-    EXPECT_EQ(dumped(fresh), dumped(cached));
-
-    // Dropping the flag changes the key: no stale critpath-less hit.
-    SweepOptions without = with;
-    without.collectCritPath = false;
-    SweepRunner third(without);
-    third.runAll(scenarios);
-    EXPECT_EQ(third.report().cacheHits, 0u);
-    EXPECT_EQ(third.report().cacheMisses, 1u);
 }
 
 // ------------------------------------- bottleneck-efficacy ordering

@@ -81,27 +81,6 @@ TEST(FaultPlan, AnyEffectReflectsConfiguredRates)
     EXPECT_TRUE(withTelemetry.anyEffect());
 }
 
-TEST(FaultPlan, CanonicalFormIsStableAndKeyed)
-{
-    FaultPlan inactive;
-    EXPECT_EQ(inactive.canonical(), "");
-
-    auto build = [](std::uint64_t seed) {
-        FaultPlan plan;
-        plan.active = true;
-        plan.seed = seed;
-        BusFaultRule rule;
-        rule.endpoint = "command-*";
-        rule.dropRate = 0.05;
-        plan.bus.push_back(rule);
-        plan.telemetry.truncateRate = 0.1;
-        return plan;
-    };
-    EXPECT_EQ(build(3).canonical(), build(3).canonical());
-    EXPECT_NE(build(3).canonical(), build(4).canonical());
-    EXPECT_NE(build(3).canonical(), "");
-}
-
 TEST(FaultPlan, ParsesFullJsonSchema)
 {
     const char *text = R"({

@@ -1,7 +1,7 @@
 /**
  * @file
  * Golden-trace regression: the Fig. 11 runtime trace for a fixed seed,
- * serialized through the result-cache JSON codec, must replay
+ * serialized through runResultToJson, must replay
  * byte-for-byte against its pinned file in tests/golden/ — for
  * PowerChief and for the FastCap/CuttleSys rival policies.
  *
@@ -58,11 +58,10 @@ TEST_P(GoldenTrace, Fig11ReplaysByteStable)
     // The pinned scenarios live in Scenario::goldenFig11For() so the
     // trace-diff tolerance gates replay the identical runs.
     const ExperimentRunner runner(/*recordTraces=*/true);
-    const std::string fresh =
-        runResultToJson(
-            runner.run(Scenario::goldenFig11For(gc.policy)))
-            .dump() +
-        "\n";
+    const RunResult run = runner.run(Scenario::goldenFig11For(gc.policy));
+    EXPECT_GT(run.completed, 0u);
+    EXPECT_FALSE(run.latencySeries.points().empty());
+    const std::string fresh = runResultToJson(run).dump() + "\n";
 
     if (std::getenv("PC_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(goldenPath(gc.file), std::ios::binary);
@@ -84,28 +83,6 @@ TEST_P(GoldenTrace, Fig11ReplaysByteStable)
         << "Fig. 11 trace diverged from tests/golden/" << gc.file
         << ". If the behaviour change is intentional, regenerate with "
            "PC_UPDATE_GOLDEN=1.";
-}
-
-TEST_P(GoldenTrace, GoldenFileParsesAndRoundTrips)
-{
-    const GoldenCase &gc = GetParam();
-    std::ifstream in(goldenPath(gc.file), std::ios::binary);
-    if (!in.good())
-        GTEST_SKIP() << "golden file not generated yet";
-    std::ostringstream stored;
-    stored << in.rdbuf();
-
-    std::string text = stored.str();
-    if (!text.empty() && text.back() == '\n')
-        text.pop_back();
-    const JsonParseResult doc = parseJson(text);
-    ASSERT_TRUE(doc.ok()) << doc.error;
-    const std::optional<RunResult> result =
-        runResultFromJson(*doc.value);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(runResultToJson(*result).dump(), text);
-    EXPECT_GT(result->completed, 0u);
-    EXPECT_FALSE(result->latencySeries.points().empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(

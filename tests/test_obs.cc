@@ -393,7 +393,6 @@ TEST(TelemetryEndToEnd, SweepFilesByteIdenticalAtAnyJobs)
     auto runWith = [&](int jobs, const std::string &tag) {
         SweepOptions options;
         options.jobs = jobs;
-        options.useCache = false;
         options.telemetry.traceOut = dir + tag + "_t.json";
         options.telemetry.metricsOut = dir + tag + "_m.json";
         options.telemetry.auditOut = dir + tag + "_a.json";
@@ -451,23 +450,6 @@ TEST(TelemetryFlags, WritablePathsAndAttributionParse)
     // The writability probe must not leave a file behind.
     std::ifstream probe(dir + "flags_a.json");
     EXPECT_FALSE(probe.good());
-}
-
-TEST(TelemetryEndToEnd, SweepWithTelemetryBypassesCache)
-{
-    const std::string dir = testing::TempDir();
-    SweepOptions options;
-    options.jobs = 1;
-    options.useCache = true;
-    options.cacheDir = dir + "obs_cache";
-    options.telemetry.metricsOut = dir + "obs_cache_m.json";
-    SweepRunner sweep(options);
-    sweep.runAll({smallScenario("obs/cache", 31)});
-    EXPECT_EQ(sweep.report().cacheHits, 0u);
-    // Same sweep again: still executed, never served from cache.
-    sweep.runAll({smallScenario("obs/cache", 31)});
-    EXPECT_EQ(sweep.report().cacheHits, 0u);
-    EXPECT_EQ(sweep.report().cacheMisses, 1u);
 }
 
 } // namespace

@@ -182,7 +182,6 @@ TEST_P(PolicyInvariants, BitIdenticalAcrossJobsCleanAndLossy)
     const auto runWith = [&](int jobs) {
         SweepOptions options;
         options.jobs = jobs;
-        options.useCache = false;
         options.recordTraces = true;
         options.collectAudit = true;
         SweepRunner sweep(options);

@@ -4,12 +4,10 @@
  * with node groups produces bit-identical results and artifacts at ANY
  * worker count — clean or under a lossy fault plan, serial or through
  * the parallel sweep pool. Plus unit tests of the conservative
- * time-window engine itself (sim/sharded_engine.h) and of the cache-key
- * treatment of the topology knobs.
+ * time-window engine itself (sim/sharded_engine.h).
  */
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -385,7 +383,8 @@ TEST_P(ShardedDeterminism, SweepPoolJobsDoNotChangeResults)
 {
     // The outer sweep pool (--jobs) and the inner shard workers
     // (--shards) compose: any (jobs, shards) pair gives the same
-    // bytes. Two sweep points (different seeds) keep the pool busy.
+    // bytes, including more shard workers than node groups. Two sweep
+    // points (different seeds) keep the pool busy.
     const bool withFaults = GetParam();
     std::vector<Scenario> points;
     points.push_back(shardedScenario(withFaults));
@@ -396,11 +395,10 @@ TEST_P(ShardedDeterminism, SweepPoolJobsDoNotChangeResults)
 
     std::string reference;
     for (const int jobs : {1, 3}) {
-        for (const int shards : {1, 2}) {
+        for (const int shards : {1, 2, 8}) {
             SweepOptions options;
             options.jobs = jobs;
             options.shards = shards;
-            options.useCache = false;
             SweepRunner sweep(options);
             const std::vector<RunResult> results =
                 sweep.runAll(points);
@@ -594,60 +592,6 @@ TEST(ShardedTelemetry, DroppedHistogramSamplesChangeNoOtherOutput)
     EXPECT_EQ(envelopes[0], envelopes[1]);
 }
 
-// ------------------------------------------------------ cache identity
-
-TEST(ShardedCacheKey, TopologyIsPartOfTheScenarioIdentity)
-{
-    Scenario base = shardedScenario(false);
-    const auto canonical = scenarioCanonical(base);
-    ASSERT_TRUE(canonical.has_value());
-    EXPECT_NE(canonical->find("|nodes:"), std::string::npos);
-
-    Scenario moreGroups = base;
-    moreGroups.nodeGroups = 8;
-    EXPECT_NE(*scenarioCanonical(moreGroups), *canonical);
-
-    Scenario moreSpray = base;
-    moreSpray.remoteFraction = 0.5;
-    EXPECT_NE(*scenarioCanonical(moreSpray), *canonical);
-
-    Scenario slowerWire = base;
-    slowerWire.interNodeLatency = SimTime::msec(50);
-    EXPECT_NE(*scenarioCanonical(slowerWire), *canonical);
-
-    // Single-node scenarios keep their historical canonical (no
-    // "|nodes:" section) so pre-existing cache entries stay valid.
-    Scenario singleNode = base;
-    singleNode.nodeGroups = 1;
-    EXPECT_EQ(scenarioCanonical(singleNode)->find("|nodes:"),
-              std::string::npos);
-}
-
-TEST(ShardedCacheKey, WorkerCountIsNotPartOfTheSweepKey)
-{
-    // --shards is a pure execution knob: two sweeps differing only in
-    // shards must share cache entries. Exercise through the real
-    // cache: run at shards=1, then hit at shards=8.
-    const std::string dir =
-        ::testing::TempDir() + "/sharded_cache_test";
-    std::filesystem::remove_all(dir); // stale entries from prior runs
-    const Scenario sc = shardedScenario(false);
-    SweepOptions options;
-    options.useCache = true;
-    options.cacheDir = dir;
-    options.shards = 1;
-    SweepRunner first(options);
-    const RunResult miss = first.runOne(sc);
-    EXPECT_EQ(first.report().cacheMisses, 1u);
-
-    options.shards = 8;
-    SweepRunner second(options);
-    const RunResult hit = second.runOne(sc);
-    EXPECT_EQ(second.report().cacheHits, 1u);
-    EXPECT_EQ(runResultToJson(hit).dump(),
-              runResultToJson(miss).dump());
-}
-
 // ------------------------------------------------------- scenario API
 
 TEST(MillionQueryScenario, ShapeAndDefaults)
@@ -658,7 +602,6 @@ TEST(MillionQueryScenario, ShapeAndDefaults)
     EXPECT_GT(sc.interNodeLatency, SimTime::zero());
     EXPECT_EQ(sc.workload.name(), "microservice");
     EXPECT_EQ(sc.name, "mega/8x1000000q");
-    EXPECT_FALSE(sc.load.canonical().empty());
 }
 
 } // namespace

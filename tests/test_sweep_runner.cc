@@ -1,14 +1,12 @@
 /**
  * @file
  * Sweep-engine tests: bit-determinism across thread counts,
- * submission-order collection under adversarial run durations, result
- * cache hit/miss/invalidation, and the determinism audit catching an
- * injected nondeterministic run function.
+ * submission-order collection under adversarial run durations, and the
+ * determinism audit catching an injected nondeterministic run function.
  */
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -36,14 +34,6 @@ std::string
 dumped(const RunResult &r)
 {
     return runResultToJson(r).dump();
-}
-
-std::string
-freshDir(const char *name)
-{
-    const std::string dir = testing::TempDir() + name;
-    std::filesystem::remove_all(dir);
-    return dir;
 }
 
 // ------------------------------------------------------- thread pool
@@ -133,199 +123,6 @@ TEST(SweepRunner, CollectsInSubmissionOrderUnderAdversarialDurations)
         EXPECT_EQ(results[static_cast<std::size_t>(i)].scenario,
                   scenarios[static_cast<std::size_t>(i)].name);
     }
-}
-
-// ------------------------------------------------------------- cache
-
-TEST(SweepRunner, CacheHitsMissesAndInvalidation)
-{
-    SweepOptions opt;
-    opt.jobs = 2;
-    opt.useCache = true;
-    opt.cacheDir = freshDir("sweep_cache_test");
-    SweepRunner sweep(opt);
-
-    const std::vector<Scenario> scenarios = {quickScenario(1),
-                                             quickScenario(2)};
-    const std::vector<RunResult> first = sweep.runAll(scenarios);
-    EXPECT_EQ(sweep.report().cacheMisses, 2u);
-    EXPECT_EQ(sweep.report().cacheHits, 0u);
-
-    // Unchanged sweep points are served from disk, byte-identical.
-    const std::vector<RunResult> second = sweep.runAll(scenarios);
-    EXPECT_EQ(sweep.report().cacheHits, 2u);
-    EXPECT_EQ(sweep.report().cacheMisses, 0u);
-    for (std::size_t i = 0; i < first.size(); ++i)
-        EXPECT_EQ(dumped(first[i]), dumped(second[i]));
-
-    // Any fingerprint-relevant change (same name!) invalidates.
-    Scenario changed = quickScenario(1);
-    changed.duration = SimTime::sec(61);
-    sweep.runAll({changed});
-    EXPECT_EQ(sweep.report().cacheHits, 0u);
-    EXPECT_EQ(sweep.report().cacheMisses, 1u);
-
-    // Factory-override scenarios never touch the cache.
-    Scenario opaque = quickScenario(1);
-    opaque.metricFactory = [] {
-        return std::make_unique<PowerChiefMetric>();
-    };
-    sweep.runAll({opaque});
-    EXPECT_EQ(sweep.report().uncacheable, 1u);
-    EXPECT_EQ(sweep.report().cacheHits, 0u);
-    sweep.runAll({opaque});
-    EXPECT_EQ(sweep.report().uncacheable, 1u);
-    EXPECT_EQ(sweep.report().cacheHits, 0u);
-}
-
-TEST(ResultCache, RoundTripsResultsExactly)
-{
-    SweepOptions opt;
-    opt.jobs = 1;
-    opt.recordTraces = true;
-    SweepRunner sweep(opt);
-    const RunResult run = sweep.runOne(quickScenario(3));
-
-    ResultCache cache(freshDir("result_cache_roundtrip"));
-    const std::string key = *scenarioCanonical(quickScenario(3));
-    EXPECT_FALSE(cache.load(key).has_value());
-    cache.store(key, run);
-    const std::optional<RunResult> loaded = cache.load(key);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(dumped(run), dumped(*loaded));
-    // A different key maps to a different file and misses.
-    EXPECT_FALSE(cache.load(key + "x").has_value());
-}
-
-/**
- * Stale-hit regression: a cache hit used to zero the cluster-arbiter
- * rebalance counter because the audit serializer predated the field.
- * Every AuditSummary counter must survive the round trip.
- */
-TEST(ResultCache, RoundTripPreservesClusterAuditCounter)
-{
-    SweepOptions opt;
-    opt.jobs = 1;
-    SweepRunner sweep(opt);
-    RunResult run = sweep.runOne(quickScenario(4));
-    run.audit.collected = true;
-    run.audit.clusterRebalances = 240;
-
-    ResultCache cache(freshDir("result_cache_cluster_audit"));
-    const std::string key = *scenarioCanonical(quickScenario(4));
-    cache.store(key, run);
-    const std::optional<RunResult> loaded = cache.load(key);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_TRUE(loaded->audit.collected);
-    EXPECT_EQ(loaded->audit.clusterRebalances, 240u);
-    EXPECT_EQ(dumped(run), dumped(*loaded));
-}
-
-TEST(ResultCache, CanonicalCoversSeedAndControlKnobs)
-{
-    const Scenario base = quickScenario(1);
-    Scenario seed = base;
-    seed.seed = base.seed + 1;
-    Scenario knob = base;
-    knob.control.adjustInterval = SimTime::sec(99);
-    const std::string canonical = *scenarioCanonical(base);
-    EXPECT_NE(canonical, *scenarioCanonical(seed));
-    EXPECT_NE(canonical, *scenarioCanonical(knob));
-    EXPECT_EQ(canonical, *scenarioCanonical(base));
-}
-
-/**
- * Stale-hit regression: every result-affecting runner knob must be
- * part of the cache key. For each knob, seed the cache with a base
- * run, flip only that knob, and demand a MISS — a hit would serve a
- * result computed under different settings.
- */
-TEST(SweepRunner, FlippingAnyResultAffectingKnobMissesTheCache)
-{
-    const std::string dir = freshDir("sweep_cache_knobs");
-    const Scenario sc = quickScenario(7);
-
-    const auto runWith = [&sc, &dir](const SweepOptions &extra) {
-        SweepOptions opt = extra;
-        opt.jobs = 1;
-        opt.useCache = true;
-        opt.cacheDir = dir;
-        SweepRunner sweep(opt);
-        sweep.runAll({sc});
-        return sweep.report();
-    };
-
-    EXPECT_EQ(runWith(SweepOptions{}).cacheMisses, 1u);
-    EXPECT_EQ(runWith(SweepOptions{}).cacheHits, 1u); // warm baseline
-
-    SweepOptions traces;
-    traces.recordTraces = true;
-    EXPECT_EQ(runWith(traces).cacheMisses, 1u)
-        << "recordTraces must be in the cache key";
-
-    SweepOptions sample;
-    sample.recordTraces = true; // sampleInterval only matters w/ traces
-    sample.sampleInterval = SimTime::sec(9);
-    EXPECT_EQ(runWith(sample).cacheMisses, 1u)
-        << "sampleInterval must be in the cache key";
-
-    SweepOptions attr;
-    attr.attribution = true;
-    EXPECT_EQ(runWith(attr).cacheMisses, 1u)
-        << "attribution must be in the cache key";
-
-    SweepOptions audit;
-    audit.collectAudit = true;
-    EXPECT_EQ(runWith(audit).cacheMisses, 1u)
-        << "collectAudit must be in the cache key";
-
-    SweepOptions critpath;
-    critpath.collectCritPath = true;
-    EXPECT_EQ(runWith(critpath).cacheMisses, 1u)
-        << "collectCritPath must be in the cache key";
-
-    SweepOptions slo;
-    slo.slo.enabled = true;
-    EXPECT_EQ(runWith(slo).cacheMisses, 1u)
-        << "SLO tracking must be in the cache key";
-
-    SweepOptions sloTarget;
-    sloTarget.slo.enabled = true;
-    sloTarget.slo.targetSec = 0.25;
-    EXPECT_EQ(runWith(sloTarget).cacheMisses, 1u)
-        << "the SLO target must be in the cache key";
-
-    SweepOptions sloWindow;
-    sloWindow.slo.enabled = true;
-    sloWindow.slo.fastWindowSec = 30.0;
-    EXPECT_EQ(runWith(sloWindow).cacheMisses, 1u)
-        << "the SLO burn windows must be in the cache key";
-
-    // Execution-only knobs deliberately share the key: same results,
-    // any worker count.
-    SweepOptions shards;
-    shards.shards = 4;
-    EXPECT_EQ(runWith(shards).cacheHits, 1u)
-        << "--shards is a pure execution knob and must share the key";
-}
-
-TEST(ResultCache, CanonicalCoversShardedTopologyKnobs)
-{
-    Scenario base = quickScenario(1);
-    base.nodeGroups = 2;
-    const std::string canonical = *scenarioCanonical(base);
-
-    Scenario groups = base;
-    groups.nodeGroups = 4;
-    EXPECT_NE(*scenarioCanonical(groups), canonical);
-
-    Scenario remote = base;
-    remote.remoteFraction = 0.4;
-    EXPECT_NE(*scenarioCanonical(remote), canonical);
-
-    Scenario latency = base;
-    latency.interNodeLatency = SimTime::msec(25);
-    EXPECT_NE(*scenarioCanonical(latency), canonical);
 }
 
 // ------------------------------------------------------------- audit

@@ -67,7 +67,7 @@ echo "=== sharded engine under TSan ==="
 # bench/mega_scenario runs the full shape.
 ./build-tsan/tools/powerchief-cli \
     --workload=microservice --policy=powerchief --load=high \
-    --duration=60 --seed=3 --no-cache \
+    --duration=60 --seed=3 \
     --node-groups=4 --shards=4 --remote-fraction=0.2 >/dev/null
 # Same shape with the cluster arbiter on: report/grant traffic rides
 # the double-buffered mailboxes of the scheduled sync windows, so the
@@ -75,7 +75,7 @@ echo "=== sharded engine under TSan ==="
 # under TSan too.
 ./build-tsan/tools/powerchief-cli \
     --workload=microservice --policy=powerchief --load=high \
-    --duration=60 --seed=3 --no-cache \
+    --duration=60 --seed=3 \
     --node-groups=4 --shards=4 --remote-fraction=0.2 \
     --cluster-policy=proportional --rebalance-interval=2 >/dev/null
 
@@ -86,7 +86,7 @@ tracedir="$(mktemp -d)"
 trap 'rm -rf "${tracedir}"' EXIT
 ./build-asan/tools/powerchief-cli \
     --workload=sirius --policy=powerchief --load=high \
-    --duration=300 --seed=3 --no-cache \
+    --duration=300 --seed=3 \
     --trace-out="${tracedir}/run.json" \
     --metrics-out="${tracedir}/run.metrics.json" \
     --audit-out="${tracedir}/run.audit.json" >/dev/null
@@ -106,7 +106,7 @@ for s in 1 8; do
     mkdir -p "${tracedir}/sh${s}"
     ./build-release/tools/powerchief-cli \
         --workload=sirius --policy=powerchief --load=high \
-        --duration=120 --seed=3 --no-cache --slo --alerts \
+        --duration=120 --seed=3 --slo --alerts \
         --node-groups=4 --shards="${s}" --remote-fraction=0.2 \
         --trace-out="${tracedir}/sh${s}/run.trace.json" \
         --metrics-out="${tracedir}/sh${s}/run.metrics.json" \
@@ -133,7 +133,7 @@ for s in 1 8; do
     mkdir -p "${tracedir}/cl${s}"
     ./build-release/tools/powerchief-cli \
         --workload=microservice --policy=powerchief --load=high \
-        --duration=120 --seed=3 --no-cache --slo --alerts \
+        --duration=120 --seed=3 --slo --alerts \
         --node-groups=4 --shards="${s}" --remote-fraction=0.2 \
         --cluster-policy=waterfill --rebalance-interval=2 \
         --audit-out="${tracedir}/cl${s}/run.audit.json" \
@@ -152,7 +152,7 @@ echo "=== timeseries + dashboard validation ==="
 # the linter; report_html renders the dump (self-test + real input).
 ./build-asan/tools/powerchief-cli \
     --workload=sirius --policy=powerchief --load=high \
-    --duration=300 --seed=3 --no-cache --slo --alerts \
+    --duration=300 --seed=3 --slo --alerts \
     --timeseries-out="${tracedir}/run.ts.json" \
     --audit-out="${tracedir}/run.ts.audit.json" >/dev/null
 ./build-asan/tools/trace-validate \
@@ -160,7 +160,7 @@ echo "=== timeseries + dashboard validation ==="
     --audit="${tracedir}/run.ts.audit.json"
 ./build-asan/tools/powerchief-cli \
     --workload=sirius --policy=powerchief --load=high \
-    --duration=300 --seed=3 --no-cache \
+    --duration=300 --seed=3 \
     --metrics-format=openmetrics \
     --timeseries-out="${tracedir}/run.om" >/dev/null
 python3 tools/openmetrics_lint.py "${tracedir}/run.om"
@@ -190,7 +190,7 @@ for variant in clean lossy; do
         mkdir -p "${tracedir}/cp-${variant}-j${j}"
         ./build-asan/tools/powerchief-cli \
             --workload=sirius --policy=powerchief --load=high \
-            --duration=300 --seeds=3,4 --jobs="${j}" --no-cache \
+            --duration=300 --seeds=3,4 --jobs="${j}" \
             ${fault_flag} \
             --critpath-out="${tracedir}/cp-${variant}-j${j}/run.critpath.json" \
             >/dev/null
@@ -216,42 +216,37 @@ echo "=== golden trace diff ==="
     --baseline=tests/golden/cuttlesys_fig11_trace.json \
     --fresh-golden=cuttlesys
 
-echo "=== policy arena smoke (asan, cached) ==="
-# A one-cell matrix over the full policy roster, through the sweep
-# cache: the second invocation must serve every point from cache and
-# produce a byte-identical report (docs/POLICIES.md).
-./build-asan/bench/arena --jobs "${jobs}" \
-    --workloads=sirius --loads=high --budgets=13.56 \
-    --duration-sec=60 --cache-dir="${tracedir}/arena-cache" \
-    --out="${tracedir}/arena.json" >/dev/null
-./build-asan/bench/arena --jobs "${jobs}" \
-    --workloads=sirius --loads=high --budgets=13.56 \
-    --duration-sec=60 --cache-dir="${tracedir}/arena-cache" \
-    --out="${tracedir}/arena2.json" >/dev/null
-cmp "${tracedir}/arena.json" "${tracedir}/arena2.json"
-python3 tools/arena_report.py --check "${tracedir}/arena.json"
+echo "=== policy arena smoke (asan, --jobs 1 vs ${jobs}) ==="
+# A one-cell matrix over the full policy roster, simulated twice, at
+# --jobs 1 and at --jobs ${jobs}: the two reports must be byte-identical
+# (docs/POLICIES.md).
+for j in 1 "${jobs}"; do
+    ./build-asan/bench/arena --jobs "${j}" \
+        --workloads=sirius --loads=high --budgets=13.56 \
+        --duration-sec=60 --out="${tracedir}/arena-j${j}.json" >/dev/null
+done
+cmp "${tracedir}/arena-j1.json" "${tracedir}/arena-j${jobs}.json"
+python3 tools/arena_report.py --check "${tracedir}/arena-j1.json"
 
-echo "=== fleet arena smoke (release, cached, gated) ==="
+echo "=== fleet arena smoke (release, --jobs 1 vs ${jobs}, gated) ==="
 # The cluster layer's acceptance bar (docs/ARCHITECTURE.md): at the
 # same global cap, the demand-proportional arbiter must strictly beat
 # the static cap/N split on fleet p99 AND SLO-violation-seconds in
-# every fabric, clean and lossy. Run twice through the cache: the
-# second pass must serve every point from cache and produce a
-# byte-identical report.
-./build-release/bench/fleet --jobs "${jobs}" \
-    --duration-sec=60 --cache-dir="${tracedir}/fleet-cache" \
-    --out="${tracedir}/fleet.json" >/dev/null
-./build-release/bench/fleet --jobs "${jobs}" \
-    --duration-sec=60 --cache-dir="${tracedir}/fleet-cache" \
-    --out="${tracedir}/fleet2.json" >/dev/null
-cmp "${tracedir}/fleet.json" "${tracedir}/fleet2.json"
+# every fabric, clean and lossy. Simulated twice, at --jobs 1 and at
+# --jobs ${jobs}: both passes are gated and their reports must be
+# byte-identical.
+for j in 1 "${jobs}"; do
+    ./build-release/bench/fleet --jobs "${j}" \
+        --duration-sec=60 --out="${tracedir}/fleet-j${j}.json" >/dev/null
+done
+cmp "${tracedir}/fleet-j1.json" "${tracedir}/fleet-j${jobs}.json"
 
 echo "=== chaos sweep (fault-matrix invariants, asan) ==="
 # Drops, duplicates, reordering, crashes, stale/truncated telemetry,
 # RAPL and PERF_CTL faults. The runner aborts on any query-conservation
 # or budget-ledger violation; --audit re-runs sampled points
 # single-threaded and fails on any divergence from the parallel pass.
-./build-asan/bench/chaos_sweep --jobs "${jobs}" --no-cache --audit
+./build-asan/bench/chaos_sweep --jobs "${jobs}" --audit
 
 echo "=== perf gate (enforced, tolerance ${PC_BENCH_TOLERANCE:-1.15}x) ==="
 latest_bench="$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)"

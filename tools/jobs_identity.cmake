@@ -18,7 +18,7 @@ foreach(jobs 1 2)
     file(MAKE_DIRECTORY "${dir}")
     execute_process(
         COMMAND "${CLI}" --policy=powerchief-conserve --qos=6
-                --seeds=3,4,5,6 --jobs=${jobs} --no-cache
+                --seeds=3,4,5,6 --jobs=${jobs}
                 --trace-out=${dir}/run.json
         OUTPUT_QUIET
         RESULT_VARIABLE rc)

@@ -13,8 +13,8 @@
  * takes the target stage from --fixed-stage.
  *
  * --seeds=1,2,3 sweeps the scenario over a seed list; the runs execute
- * concurrently through the sweep engine (--jobs/--no-cache/--cache-dir/
- * --audit, see exp/sweep.h).
+ * concurrently through the sweep engine (--jobs/--audit, see
+ * exp/sweep.h).
  *
  * Observability (see docs/OBSERVABILITY.md): --trace-out=FILE exports a
  * Chrome/Perfetto trace of every query hop and control decision;
@@ -122,8 +122,8 @@ runScenarios(const FlagSet &flags, const Scenario &base,
     }
 
     // Sharded-fleet topology knobs (see docs/PERFORMANCE.md). The
-    // node-group count is part of the scenario (and its cache key);
-    // --shards, in addSweepFlags, only picks the worker-thread count.
+    // node-group count is part of the scenario; --shards, in
+    // addSweepFlags, only picks the worker-thread count.
     const long nodeGroupsFlag = flags.getInt("node-groups");
     if (nodeGroupsFlag < 0)
         fatal("--node-groups must be >= 0 (got %ld)", nodeGroupsFlag);

@@ -3,7 +3,7 @@
  * trace-diff — numeric regression gate between two run dumps.
  *
  * Compares two JSON files produced by the repo's serializers (run
- * results from the sweep-cache codec, metrics registry dumps, audit
+ * results from runResultToJson, metrics registry dumps, audit
  * logs) by flattening every numeric leaf to a dotted path — e.g.
  * "stage_breakdown[0].avg_queuing_s" or
  * "summary.prediction.overall.mape_pct" — and checking the relative
