@@ -1,11 +1,13 @@
 /**
  * @file
- * Builds a scenario's full system — simulator, chip, bus, application,
- * command center, load generator — runs it, and collects the metrics
- * the paper reports: average and 99th-percentile end-to-end latency,
- * average power (via the RAPL readout), and optional runtime traces
- * (instance counts, per-instance frequency, windowed latency/power)
- * for the Fig. 11/13/14 reproductions.
+ * Builds a scenario's full system — one node stack (chip, bus,
+ * application, command center, load generator) per node group on the
+ * sharded engine, a single-node scenario being a one-group run — runs
+ * it, and collects the metrics the paper reports: average and
+ * 99th-percentile end-to-end latency, average power (via the RAPL
+ * readout), and optional runtime traces (instance counts, per-instance
+ * frequency, windowed latency/power) for the Fig. 11/13/14
+ * reproductions.
  */
 
 #ifndef PC_EXP_RUNNER_H
@@ -84,6 +86,22 @@ struct RunAuditSummary
     std::uint64_t misboosts = 0;
     /** Cluster-arbiter rebalance records (cluster/arbiter.h). */
     std::uint64_t clusterRebalances = 0;
+
+    /** The MAPE numerators: summed absolute percent error of the scored
+     *  selects, overall (over `scored`) and per chosen technique. */
+    double absPctErrSum = 0.0;
+    double absPctErrSumFreq = 0.0;
+    double absPctErrSumInst = 0.0;
+    /** Scored selects per chosen technique (the per-kind denominators). */
+    std::uint64_t scoredFreq = 0;
+    std::uint64_t scoredInst = 0;
+
+    /**
+     * Fold one node's summary in: counts and sums add, and the means are
+     * recomputed from them. Exact, so folding one summary into an empty
+     * one reproduces it bit for bit.
+     */
+    void merge(const RunAuditSummary &node);
 };
 
 /**
@@ -110,11 +128,21 @@ struct RunCritPathSummary
     double meanShorteningPct = 0.0;
     /** Mean critical-path share per stage over profiled queries. */
     std::vector<double> stageShare;
+
+    /** The shortening mean's numerator and denominator. */
+    double shorteningSumPct = 0.0;
+    std::uint64_t shorteningCount = 0;
+    /** Per stage: summed share and profiled paths (the share means). */
+    std::vector<double> stageShareSum;
+    std::vector<std::uint64_t> stagePaths;
+
+    /** Fold one node's summary in, exactly (see RunAuditSummary). */
+    void merge(const RunCritPathSummary &node);
 };
 
 /**
- * Summarize a run's audit log / critical-path collector into the
- * RunResult blocks. Shared by the single-node and sharded run paths.
+ * Summarize one node's audit log / critical-path collector into the
+ * RunResult blocks; a fleet merges its nodes' summaries.
  */
 RunAuditSummary summarizeAudit(const AuditLog &audit);
 RunCritPathSummary summarizeCritPath(const CritPathCollector &cp);
@@ -124,7 +152,7 @@ RunCritPathSummary summarizeCritPath(const CritPathCollector &cp);
  * no query was lost or minted (submitted == completed + resident) and
  * the budget ledger holds every live instance at the level it actually
  * runs at, even after dropped PERF_CTL writes and crash/recovery
- * churn. Fatal on violation; @p node names the node of a sharded run
+ * churn. Fatal on violation; @p node names the node of a fleet run
  * in the diagnostic (-1 for a single-node run).
  */
 void checkRunInvariants(const MultiStageApp &app,
@@ -206,7 +234,10 @@ class ExperimentRunner
      * Observe every control interval of subsequent run() calls: the
      * probe fires after the policy (and withdraw monitor) acted, with
      * the interval's full ControlContext. A pure observer hook for the
-     * cross-policy invariant tests; pass nullptr to detach.
+     * cross-policy invariant tests; pass nullptr to detach. Single-node
+     * scenarios only: one probe cannot observe several concurrent
+     * controllers deterministically, so a run of nodeGroups > 1 with a
+     * probe attached is fatal.
      */
     void setIntervalProbe(
         std::function<void(const ControlContext &)> probe)
@@ -228,34 +259,30 @@ class ExperimentRunner
     }
 
     /**
-     * Worker threads for sharded runs (scenarios with nodeGroups > 1;
-     * exp/sharded_runner.cc). Clamped to [1, nodeGroups] at run time;
-     * <= 0 resolves to one per hardware thread. A pure execution knob:
-     * every result field and artifact byte is identical at any value.
-     * Ignored by single-node scenarios.
+     * Worker threads that run the node groups (Scenario::nodeGroups).
+     * Clamped to [1, nodeGroups] at run time, so a single-node scenario
+     * always runs on the calling thread; <= 0 resolves to one per
+     * hardware thread. A pure execution knob: every result field and
+     * artifact byte is identical at any value.
      */
     void setShards(int shards) { shards_ = shards; }
 
     /**
+     * Run one scenario: one node stack per node group on the sharded
+     * engine, merged deterministically into one RunResult.
+     *
      * @param telemetry optional observability config. When any output
-     *        is enabled the run owns a private Telemetry (per-query
-     *        spans, control-plane events, the metrics registry) and
-     *        writes the configured files before returning. Telemetry is
-     *        a pure observer: the RunResult is identical with it on or
-     *        off.
+     *        is enabled each node owns a private Telemetry (per-query
+     *        spans, control-plane events, the metrics registry) and the
+     *        run writes the configured files before returning: the
+     *        plain documents for a single node, "powerchief-sharded-v1"
+     *        envelopes (JSON only) for several. Telemetry is a pure
+     *        observer: the RunResult is identical with it on or off.
      */
     RunResult run(const Scenario &scenario,
                   const TelemetryConfig *telemetry = nullptr) const;
 
   private:
-    /**
-     * The nodeGroups > 1 path (exp/sharded_runner.cc): one replica
-     * stack per node group on the conservative time-window engine,
-     * merged deterministically into one RunResult.
-     */
-    RunResult runSharded(const Scenario &scenario,
-                         const TelemetryConfig *telemetry) const;
-
     bool recordTraces_;
     SimTime sampleInterval_;
     bool attribution_;

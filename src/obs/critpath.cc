@@ -251,17 +251,18 @@ CritPathCollector::meanShorteningPct() const
         : 0.0;
 }
 
-std::vector<double>
-CritPathCollector::stageShareMeans() const
+CritPathCollector::StageShareTotals
+CritPathCollector::stageShareTotals() const
 {
-    int maxStage = -1;
-    for (const auto &[stage, p] : stages_)
-        maxStage = std::max(maxStage, stage);
-    std::vector<double> out(static_cast<std::size_t>(maxStage + 1), 0.0);
-    for (const auto &[stage, p] : stages_)
-        if (stage >= 0 && p.paths > 0)
-            out[static_cast<std::size_t>(stage)] =
-                p.shareSum / static_cast<double>(p.paths);
+    StageShareTotals out;
+    for (const auto &[stage, p] : stages_) {
+        if (stage < 0)
+            continue;
+        out.shareSum.resize(static_cast<std::size_t>(stage) + 1, 0.0);
+        out.paths.resize(static_cast<std::size_t>(stage) + 1, 0);
+        out.shareSum[static_cast<std::size_t>(stage)] = p.shareSum;
+        out.paths[static_cast<std::size_t>(stage)] = p.paths;
+    }
     return out;
 }
 

@@ -142,8 +142,20 @@ class CritPathCollector
     /** Mean relative critical-path shortening after boosted
      *  intervals, percent (positive = paths got shorter). */
     double meanShorteningPct() const;
-    /** Mean critical-path share per stage over profiled queries. */
-    std::vector<double> stageShareMeans() const;
+    /** The mean's numerator and denominator. */
+    double shorteningSumPct() const { return shorteningSumPct_; }
+    std::uint64_t shorteningCount() const { return shorteningCount_; }
+    /** Per stage (index = stage): the summed critical-path share over
+     *  the profiled queries and the paths through the stage, the
+     *  numerator and denominator of its mean share. */
+    struct StageShareTotals
+    {
+        std::vector<double> shareSum;
+        std::vector<std::uint64_t> paths;
+
+        bool operator==(const StageShareTotals &) const = default;
+    };
+    StageShareTotals stageShareTotals() const;
 
     /**
      * The whole profile as one JSON value (schema above). panic()s on

@@ -112,23 +112,4 @@ sloReportToJson(const SloReport &report)
     return JsonValue(std::move(o));
 }
 
-SloReport
-sloReportFromJson(const JsonValue &doc)
-{
-    SloReport report;
-    report.collected = true;
-    report.fastBurn = doc.numberOr("fast_burn", 0.0);
-    report.maxFastBurn = doc.numberOr("max_fast_burn", 0.0);
-    report.maxSlowBurn = doc.numberOr("max_slow_burn", 0.0);
-    report.objective = doc.numberOr("objective", 0.99);
-    report.slowBurn = doc.numberOr("slow_burn", 0.0);
-    report.targetSec = doc.numberOr("target_s", 0.0);
-    report.total =
-        static_cast<std::uint64_t>(doc.numberOr("total", 0));
-    report.violationSeconds = doc.numberOr("violation_s", 0.0);
-    report.violations =
-        static_cast<std::uint64_t>(doc.numberOr("violations", 0));
-    return report;
-}
-
 } // namespace pc

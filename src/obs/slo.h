@@ -137,9 +137,6 @@ class SloTracker
 /** Conditional "slo" object of runResultToJson (alphabetical keys). */
 JsonValue sloReportToJson(const SloReport &report);
 
-/** Inverse of sloReportToJson; nullopt-free: missing keys default. */
-SloReport sloReportFromJson(const JsonValue &doc);
-
 } // namespace pc
 
 #endif // PC_OBS_SLO_H

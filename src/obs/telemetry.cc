@@ -24,13 +24,6 @@ sanitizeName(const std::string &name)
     return out;
 }
 
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-        s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 } // namespace
 
 std::string
@@ -125,7 +118,7 @@ Telemetry::writeOutputs(const std::string &scenarioName,
         if (!out.good())
             fatal("cannot write metrics file '%s'",
                   config_.metricsOut.c_str());
-        if (endsWith(config_.metricsOut, ".csv"))
+        if (config_.metricsCsv())
             metrics_.writeCsv(out);
         else
             metrics_.writeJson(out, scenarioName);

@@ -86,6 +86,8 @@ struct TelemetryConfig
 
     bool tracingEnabled() const { return !traceOut.empty(); }
     bool metricsEnabled() const { return !metricsOut.empty(); }
+    /** A .csv --metrics-out asks for CSV instead of JSON. */
+    bool metricsCsv() const { return metricsOut.ends_with(".csv"); }
     bool timeseriesEnabled() const { return !timeseriesOut.empty(); }
     bool auditEnabled() const
     {

@@ -219,6 +219,12 @@ ShardedEngine::run(SimTime deadline, int workers)
     if (deadline <= now_)
         return;
     const int shards = numShards();
+    if (shards == 1) {
+        // No peer to wait for or deliver to: no window, no sync round.
+        sims_.front()->runUntil(deadline);
+        now_ = deadline;
+        return;
+    }
     workers = std::clamp(workers, 1, shards);
 
     const std::vector<bool> sync = planSyncs(deadline);

@@ -150,7 +150,9 @@ class ShardedEngine
      * Advance all shards to @p deadline using @p workers threads
      * (clamped to [1, shards]). Shard i is executed by worker
      * i % workers, lowest-index shards first — a static assignment, so
-     * the execution is identical at any worker count.
+     * the execution is identical at any worker count. A single shard
+     * runs straight through to the deadline on the calling thread,
+     * exactly as its Simulator's own runUntil() would.
      */
     void run(SimTime deadline, int workers);
 

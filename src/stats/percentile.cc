@@ -35,6 +35,15 @@ ExactPercentile::merge(const ExactPercentile &other)
     sorted_ = false;
 }
 
+void
+ExactPercentile::merge(ExactPercentile &&other)
+{
+    if (samples_.empty() && &other != this)
+        *this = std::move(other);
+    else
+        merge(other);
+}
+
 double
 ExactPercentile::quantile(double q) const
 {

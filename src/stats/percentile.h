@@ -47,6 +47,8 @@ class ExactPercentile
      * were split across the sources.
      */
     void merge(const ExactPercentile &other);
+    /** The same, adopting @p other's samples when this holds none. */
+    void merge(ExactPercentile &&other);
 
     void clear();
 

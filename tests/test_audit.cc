@@ -6,12 +6,15 @@
  * pure-observer guarantee end to end.
  */
 
+#include <cmath>
+#include <deque>
 #include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/rng.h"
 #include "exp/result_cache.h"
 #include "exp/runner.h"
 #include "obs/audit.h"
@@ -294,6 +297,110 @@ TEST(AuditLog, IdenticalOperationsProduceIdenticalDumps)
     second.writeJson(b);
     EXPECT_EQ(a.str(), b.str());
     EXPECT_EQ(a.str().back(), '\n');
+}
+
+// ------------------------------------------------- fleet audit merge
+
+/** One node's seeded decision stream: selects of every kind, scored
+ *  against random realized delays, among recycles, withdraws and stale
+ *  skips. */
+void
+fillNodeLog(AuditLog &log, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const AuditBoostKind kinds[] = {AuditBoostKind::None,
+                                    AuditBoostKind::Frequency,
+                                    AuditBoostKind::Instance};
+    for (std::uint64_t interval = 1; interval <= 40; ++interval) {
+        const SimTime now = SimTime::sec(25.0 * static_cast<double>(interval));
+        log.beginInterval(now, interval);
+        log.scorePending(now, {rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
+                               rng.uniform(0.1, 3.0)});
+        for (std::int64_t n = rng.uniformInt(0, 3); n > 0; --n)
+            log.recordSelect(selectOf(
+                static_cast<int>(rng.uniformInt(0, 2)),
+                kinds[rng.uniformInt(0, 2)], rng.uniform(0.1, 3.0),
+                rng.uniform(0.1, 3.0)));
+        if (rng.bernoulli(0.3))
+            log.recordRecycle(1.0, 0.5, 2);
+        if (rng.bernoulli(0.2))
+            log.recordWithdraw(7, 1, 0.1, 0.2);
+        if (rng.bernoulli(0.1))
+            log.recordStaleSkip(7, 1, 3.0, 2.0);
+    }
+}
+
+void
+expectNear(double merged, double direct, double relTol)
+{
+    if (relTol == 0.0)
+        EXPECT_EQ(merged, direct);
+    else
+        EXPECT_LE(std::abs(merged - direct),
+                  relTol * std::max(1.0, std::abs(direct)));
+}
+
+TEST(FleetAuditMerge, MergeEqualsRecomputationOverConcatenatedRecords)
+{
+    for (const int nodes : {1, 2, 4}) {
+        std::deque<AuditLog> logs;
+        RunAuditSummary merged;
+        for (int g = 0; g < nodes; ++g) {
+            logs.emplace_back(true);
+            fillNodeLog(logs.back(), 1000 + static_cast<std::uint64_t>(g));
+            merged.merge(summarizeAudit(logs.back()));
+        }
+        // The direct computation over every node's records in turn.
+        std::uint64_t counts[3] = {0, 0, 0};
+        double sums[3] = {0.0, 0.0, 0.0};
+        std::uint64_t selects = 0, recycles = 0, withdraws = 0;
+        std::uint64_t staleSkips = 0, flips = 0;
+        for (const AuditLog &log : logs) {
+            for (const AuditRecord &rec : log.records()) {
+                flips += rec.flip ? 1 : 0;
+                recycles += rec.kind == AuditDecisionKind::Recycle;
+                withdraws += rec.kind == AuditDecisionKind::Withdraw;
+                staleSkips += rec.kind == AuditDecisionKind::StaleSkip;
+                if (rec.kind != AuditDecisionKind::Select)
+                    continue;
+                ++selects;
+                if (!rec.scored)
+                    continue;
+                ++counts[0];
+                sums[0] += rec.absPctErr;
+                const int k = rec.chosen == AuditBoostKind::Frequency ? 1 : 2;
+                ++counts[k];
+                sums[k] += rec.absPctErr;
+            }
+        }
+        SCOPED_TRACE(std::to_string(nodes) + " nodes");
+        ASSERT_GT(counts[1], 0u);
+        ASSERT_GT(counts[2], 0u);
+        EXPECT_TRUE(merged.collected);
+        EXPECT_EQ(merged.selects, selects);
+        EXPECT_EQ(merged.recycles, recycles);
+        EXPECT_EQ(merged.withdraws, withdraws);
+        EXPECT_EQ(merged.staleSkips, staleSkips);
+        EXPECT_EQ(merged.flips, flips);
+        EXPECT_EQ(merged.scored, counts[0]);
+        EXPECT_EQ(merged.scoredFreq, counts[1]);
+        EXPECT_EQ(merged.scoredInst, counts[2]);
+        // One node's merge is that node's summary, bit for bit.
+        const double tol = nodes == 1 ? 0.0 : 1e-12;
+        expectNear(merged.mapePct, sums[0] / static_cast<double>(counts[0]),
+                   tol);
+        expectNear(merged.mapeFreqPct,
+                   sums[1] / static_cast<double>(counts[1]), tol);
+        expectNear(merged.mapeInstPct,
+                   sums[2] / static_cast<double>(counts[2]), tol);
+        if (nodes == 1) {
+            EXPECT_EQ(merged.mapePct, logs.front().mapePct());
+            EXPECT_EQ(merged.mapeFreqPct,
+                      logs.front().mapePct(AuditBoostKind::Frequency));
+            EXPECT_EQ(merged.mapeInstPct,
+                      logs.front().mapePct(AuditBoostKind::Instance));
+        }
+    }
 }
 
 // ------------------------------------------------ TailAttribution math

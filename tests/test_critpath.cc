@@ -10,6 +10,8 @@
  */
 
 #include <algorithm>
+#include <cmath>
+#include <deque>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -19,6 +21,7 @@
 
 #include "app/pipeline.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "exp/result_cache.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
@@ -282,8 +285,90 @@ TEST(CritPathCollector, CollectOnlyKeepsShareMeansWithoutSamples)
         kept.observeQuery(SimTime::sec(i), *q, true);
         dropped.observeQuery(SimTime::sec(i), *q, true);
     }
-    EXPECT_EQ(dropped.stageShareMeans(), kept.stageShareMeans());
+    EXPECT_EQ(dropped.stageShareTotals(), kept.stageShareTotals());
     EXPECT_EQ(dropped.profiledQueries(), kept.profiledQueries());
+}
+
+/**
+ * Feed @p cp one node's seeded stream: 30 control intervals of 0-4
+ * completions through a 3-stage pipeline, each interval boosting a
+ * random subset of the stages.
+ */
+void
+feedNode(CritPathCollector &cp, std::uint64_t seed)
+{
+    Rng rng(seed);
+    for (int interval = 1; interval <= 30; ++interval) {
+        const double t0 = 25.0 * (interval - 1);
+        for (std::int64_t n = rng.uniformInt(0, 4); n > 0; --n) {
+            auto q = emptyQuery(3);
+            double t = t0;
+            for (int stage = 0; stage < 3; ++stage) {
+                const double start = t + rng.uniform(0.0, 2.0);
+                const double fin = start + rng.uniform(0.1, 2.0);
+                q->addHop(hop(stage, t, start, fin));
+                t = fin;
+            }
+            q->markCompleted(SimTime::sec(t));
+            cp.observeQuery(SimTime::sec(t), *q, rng.bernoulli(0.9));
+        }
+        std::vector<int> boosted;
+        for (int stage = 0; stage < 3; ++stage)
+            if (rng.bernoulli(0.3))
+                boosted.push_back(stage);
+        cp.onControlInterval(SimTime::sec(t0 + 25.0), boosted);
+    }
+}
+
+TEST(FleetCritPathMerge, MergeEqualsRecomputationOverConcatenatedRecords)
+{
+    for (const int nodes : {1, 2, 4}) {
+        std::deque<CritPathCollector> collectors;
+        RunCritPathSummary merged;
+        // Every node's stream, one after the other. An empty, unboosted
+        // interval after each closes its pending shortening, so no
+        // shortening pair spans two nodes.
+        CritPathCollector all;
+        for (int g = 0; g < nodes; ++g) {
+            const auto seed = 500 + static_cast<std::uint64_t>(g);
+            collectors.emplace_back();
+            feedNode(collectors.back(), seed);
+            merged.merge(summarizeCritPath(collectors.back()));
+            feedNode(all, seed);
+            all.onControlInterval(SimTime::sec(1e6), {});
+        }
+        const RunCritPathSummary direct = summarizeCritPath(all);
+        SCOPED_TRACE(std::to_string(nodes) + " nodes");
+        ASSERT_GT(direct.shorteningCount, 0u);
+        EXPECT_TRUE(merged.collected);
+        EXPECT_EQ(merged.queries, direct.queries);
+        EXPECT_EQ(merged.scoredIntervals, direct.scoredIntervals);
+        EXPECT_EQ(merged.agreeIntervals, direct.agreeIntervals);
+        EXPECT_EQ(merged.boostIntervals, direct.boostIntervals);
+        EXPECT_EQ(merged.misboosts, direct.misboosts);
+        EXPECT_EQ(merged.shorteningCount, direct.shorteningCount);
+        EXPECT_EQ(merged.stagePaths, direct.stagePaths);
+        EXPECT_EQ(merged.agreementRate, direct.agreementRate);
+        ASSERT_EQ(merged.stageShare.size(), 3u);
+        ASSERT_EQ(direct.stageShare.size(), 3u);
+        // One node's merge is that node's summary, bit for bit.
+        const double tol = nodes == 1 ? 0.0 : 1e-12;
+        const auto near = [tol](double a, double b) {
+            return tol == 0.0
+                ? a == b
+                : std::abs(a - b) <= tol * std::max(1.0, std::abs(b));
+        };
+        EXPECT_PRED2(near, merged.meanShorteningPct,
+                     direct.meanShorteningPct);
+        for (std::size_t s = 0; s < 3; ++s)
+            EXPECT_PRED2(near, merged.stageShare[s], direct.stageShare[s]);
+        if (nodes == 1) {
+            EXPECT_EQ(merged.meanShorteningPct,
+                      collectors.front().meanShorteningPct());
+            EXPECT_EQ(merged.agreementRate,
+                      collectors.front().agreementRate());
+        }
+    }
 }
 
 TEST(CritPathCollectorDeathTest, CollectOnlyProfileRefusesToSerialize)

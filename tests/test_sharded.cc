@@ -123,6 +123,42 @@ TEST(ShardedEngine, UndeclaredChannelsSyncEveryWindow)
     EXPECT_EQ(engine.syncRounds(), 13u);
 }
 
+TEST(ShardedEngine, OneShardRunsStraightThrough)
+{
+    // A single-node run has no peer to sync with: its simulator runs to
+    // the deadline in one go, the same events in the same order as a
+    // bare Simulator. At a 1 us lookahead the 5000 s run would be 5e9
+    // windows, more than one run() call can plan.
+    const auto load = [](Simulator &sim, std::vector<std::int64_t> *log) {
+        sim.schedulePeriodic(
+            SimTime::sec(7), SimTime::sec(100), [&sim, log]() {
+                log->push_back(sim.now().toUsec());
+                sim.scheduleAt(sim.now() + SimTime::usec(3), [&sim, log]() {
+                    log->push_back(-sim.now().toUsec());
+                });
+            });
+        sim.scheduleAt(SimTime::sec(7), [&sim, log]() {
+            log->push_back(1000 + sim.now().toUsec());
+        });
+    };
+    const SimTime deadline = SimTime::sec(5000);
+    Simulator bare;
+    std::vector<std::int64_t> bareLog;
+    load(bare, &bareLog);
+    bare.runUntil(deadline);
+
+    ShardedEngine engine(1, SimTime::usec(1));
+    std::vector<std::int64_t> log;
+    load(engine.shard(0), &log);
+    engine.run(deadline, 4);
+    EXPECT_EQ(engine.syncRounds(), 0u);
+    EXPECT_EQ(engine.shard(0).dispatchedEvents(), bare.dispatchedEvents());
+    EXPECT_EQ(log, bareLog);
+    EXPECT_EQ(log.size(), 101u);
+    EXPECT_EQ(engine.now(), deadline);
+    EXPECT_EQ(engine.shard(0).now(), deadline);
+}
+
 TEST(ShardedEngine, DeclaredScheduleSyncsOnlyItsWindows)
 {
     const auto runOnce = [](int workers) {
@@ -590,6 +626,79 @@ TEST(ShardedTelemetry, DroppedHistogramSamplesChangeNoOtherOutput)
     EXPECT_NE(envelopes[0].find("\"slo\""), std::string::npos);
     EXPECT_EQ(results[0], results[1]);
     EXPECT_EQ(envelopes[0], envelopes[1]);
+}
+
+TEST(ShardedTelemetry, EveryNodeFeedsItsSloBurnGauges)
+{
+    // The SLO burn gauges are fed online on every node whose registry
+    // is written, so each node document of the timeseries envelope
+    // carries its own slo.fast_burn / slo.slow_burn series.
+    const Scenario sc = Scenario::millionQuery(/*nodeGroups=*/2,
+                                               /*totalQueries=*/2000,
+                                               /*durationSec=*/10.0,
+                                               /*seed=*/777);
+    TelemetryConfig telemetry;
+    telemetry.timeseriesOut =
+        ::testing::TempDir() + "/sharded_slo_gauges.timeseries.json";
+    SloConfig slo;
+    slo.enabled = true;
+    const ExperimentRunner runner(/*recordTraces=*/false, SimTime::sec(5),
+                                  /*attribution=*/false,
+                                  /*collectAudit=*/false, slo);
+    runner.run(sc, &telemetry);
+    const JsonParseResult parsed = parseJson(slurp(telemetry.timeseriesOut));
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const JsonArray &nodes = parsed.value->asObject().at("shards").asArray();
+    ASSERT_EQ(nodes.size(), 2u);
+    for (const JsonValue &node : nodes) {
+        const JsonObject &series = node.asObject().at("series").asObject();
+        EXPECT_EQ(series.count("slo.fast_burn"), 1u);
+        EXPECT_EQ(series.count("slo.slow_burn"), 1u);
+    }
+}
+
+/** A 2-node run of @p telemetry, optionally with an interval probe. */
+void
+runTwoNodes(const TelemetryConfig &telemetry, bool probe)
+{
+    const Scenario sc = Scenario::millionQuery(/*nodeGroups=*/2,
+                                               /*totalQueries=*/200,
+                                               /*durationSec=*/1.0,
+                                               /*seed=*/5);
+    ExperimentRunner runner;
+    if (probe)
+        runner.setIntervalProbe([](const ControlContext &) {});
+    runner.run(sc, &telemetry);
+}
+
+// What has no meaning across several nodes is refused before any node
+// is built, naming what to change.
+
+TEST(ShardedRunnerDeath, IntervalProbeNeedsOneNode)
+{
+    EXPECT_DEATH(runTwoNodes(TelemetryConfig{}, true),
+                 "setIntervalProbe needs node-groups 1 \\(one probe "
+                 "cannot observe 2 concurrent controllers");
+}
+
+TEST(ShardedRunnerDeath, OpenMetricsTimeseriesNeedsOneNode)
+{
+    TelemetryConfig telemetry;
+    telemetry.timeseriesOut = ::testing::TempDir() + "/refused.om";
+    telemetry.metricsFormat = "openmetrics";
+    EXPECT_DEATH(runTwoNodes(telemetry, false),
+                 "node-groups 2 writes --timeseries-out as a JSON "
+                 "envelope; --metrics-format openmetrics needs "
+                 "node-groups 1");
+}
+
+TEST(ShardedRunnerDeath, CsvMetricsNeedOneNode)
+{
+    TelemetryConfig telemetry;
+    telemetry.metricsOut = ::testing::TempDir() + "/refused.metrics.csv";
+    EXPECT_DEATH(runTwoNodes(telemetry, false),
+                 "node-groups 2 writes --metrics-out as a JSON "
+                 "envelope; a \\.csv --metrics-out needs node-groups 1");
 }
 
 // ------------------------------------------------------- scenario API

@@ -248,7 +248,7 @@ TEST(SloTracker, FastWindowEvictsOldEvents)
     EXPECT_GT(tracker.slowBurn(), 0.0);
 }
 
-TEST(SloReportJson, RoundTrips)
+TEST(SloReportJson, SerializesEveryField)
 {
     SloReport report;
     report.collected = true;
@@ -262,17 +262,21 @@ TEST(SloReportJson, RoundTrips)
     report.maxFastBurn = 2.0;
     report.maxSlowBurn = 1.0;
 
-    const SloReport back = sloReportFromJson(sloReportToJson(report));
-    EXPECT_TRUE(back.collected);
-    EXPECT_DOUBLE_EQ(back.targetSec, report.targetSec);
-    EXPECT_DOUBLE_EQ(back.objective, report.objective);
-    EXPECT_EQ(back.total, report.total);
-    EXPECT_EQ(back.violations, report.violations);
-    EXPECT_DOUBLE_EQ(back.violationSeconds, report.violationSeconds);
-    EXPECT_DOUBLE_EQ(back.fastBurn, report.fastBurn);
-    EXPECT_DOUBLE_EQ(back.slowBurn, report.slowBurn);
-    EXPECT_DOUBLE_EQ(back.maxFastBurn, report.maxFastBurn);
-    EXPECT_DOUBLE_EQ(back.maxSlowBurn, report.maxSlowBurn);
+    const JsonValue doc = sloReportToJson(report);
+    ASSERT_TRUE(doc.isObject());
+    EXPECT_EQ(doc.asObject().size(), 9u);
+    EXPECT_DOUBLE_EQ(doc.numberOr("target_s", -1), report.targetSec);
+    EXPECT_DOUBLE_EQ(doc.numberOr("objective", -1), report.objective);
+    EXPECT_DOUBLE_EQ(doc.numberOr("total", -1), 123.0);
+    EXPECT_DOUBLE_EQ(doc.numberOr("violations", -1), 7.0);
+    EXPECT_DOUBLE_EQ(doc.numberOr("violation_s", -1),
+                     report.violationSeconds);
+    EXPECT_DOUBLE_EQ(doc.numberOr("fast_burn", -1), report.fastBurn);
+    EXPECT_DOUBLE_EQ(doc.numberOr("slow_burn", -1), report.slowBurn);
+    EXPECT_DOUBLE_EQ(doc.numberOr("max_fast_burn", -1),
+                     report.maxFastBurn);
+    EXPECT_DOUBLE_EQ(doc.numberOr("max_slow_burn", -1),
+                     report.maxSlowBurn);
 }
 
 TEST(SloRunner, RunnerCollectsReportWithAutoTarget)
