@@ -2,17 +2,23 @@
  * @file
  * Policy arena: every control policy head-to-head over one matrix.
  *
- * Runs the full PolicyKind roster — baseline, the single-technique
- * boosters, PowerChief, the fixed-stage oracle probe, Pegasus, the
- * conservation variant, and the FastCap/CuttleSys rivals — over a
- * scenario matrix of workloads (Sirius, Senna NLP, Web Search), load
- * levels, power budgets, and fault planes (a zero-rate armed injector
- * and a lossy fabric with message drops, reordering and stale/
- * truncated wire telemetry). Every point goes through the SweepRunner
+ * Runs the PolicyKind roster — baseline, the single-technique
+ * boosters, PowerChief, Pegasus, the conservation variant, and the
+ * FastCap/CuttleSys rivals — over a scenario matrix of workloads
+ * (Sirius, Senna NLP, Web Search), load levels, power budgets, and
+ * fault planes (a zero-rate armed injector and a lossy fabric with
+ * message drops, reordering and stale/truncated wire telemetry).
+ * Every point goes through the SweepRunner
  * (--jobs parallelism, optional determinism audit) with traces and
  * decision-audit collection on, and the binary prints one comparison
  * table per matrix cell: p95/p99 tail latency, QoS violation rate,
  * actuated watts, and the audit's prediction MAPE.
+ *
+ * The fixed-stage probe is left out: pinned to the slowest stage it
+ * boosts exactly what freq-boost boosts, so its row would copy that
+ * one in every cell (Fig. 2 is where it earns its runs). Every other
+ * pair of rows that ties in a cell needs a stated reason in
+ * tools/arena_report.py --distinct.
  *
  * The table and the --out JSON report (schema "powerchief-arena-v3",
  * rendered by tools/arena_report.py) are pure functions of the
@@ -55,7 +61,6 @@ struct Cell
     double budgetWatts = 0.0;
     FaultVariant faults;
     double qosTargetSec = 0.0;
-    int slowestStage = 0;
 };
 
 std::vector<std::string>
@@ -142,17 +147,6 @@ qosTargetFor(const WorkloadModel &workload)
     return 3.0 * sum;
 }
 
-int
-slowestStageOf(const WorkloadModel &workload)
-{
-    int best = 0;
-    for (int s = 1; s < workload.numStages(); ++s)
-        if (workload.stage(s).meanServiceSec >
-            workload.stage(best).meanServiceSec)
-            best = s;
-    return best;
-}
-
 Scenario
 scenarioFor(const Cell &cell, PolicyKind policy, SimTime duration)
 {
@@ -167,7 +161,6 @@ scenarioFor(const Cell &cell, PolicyKind policy, SimTime duration)
     sc.warmup = SimTime::sec(duration.toSec() / 5.0);
     sc.powerBudget = Watts(cell.budgetWatts);
     sc.qosTargetSec = cell.qosTargetSec;
-    sc.fixedStage = cell.slowestStage;
     sc.faults = cell.faults.plan;
     sc.wireReports = cell.faults.wireReports;
     sc.control.staleWindow = cell.faults.staleWindow;
@@ -311,15 +304,15 @@ main(int argc, char **argv)
             for (const auto &bw : splitCsv(flags.getString("budgets"))) {
                 for (auto &fv : faultVariants()) {
                     Cell cell{model, loadByName(ld), std::stod(bw),
-                              std::move(fv), qosTargetFor(model),
-                              slowestStageOf(model)};
+                              std::move(fv), qosTargetFor(model)};
                     cells.push_back(std::move(cell));
                 }
             }
         }
     }
 
-    const std::vector<PolicyKind> policies = allPolicyKinds();
+    std::vector<PolicyKind> policies = allPolicyKinds();
+    std::erase(policies, PolicyKind::FixedStage);
     std::vector<Scenario> scenarios;
     scenarios.reserve(cells.size() * policies.size());
     for (const auto &cell : cells)

@@ -15,9 +15,6 @@ namespace {
 /** Absorbs accumulated FP error in the conservation comparisons. */
 constexpr double kClusterSlackWatts = 1e-6;
 
-/** Demand clamp so one pathological node cannot dwarf the fleet. */
-constexpr double kMaxDemandUnits = 16.0;
-
 } // namespace
 
 ClusterArbiter::ClusterArbiter(Simulator *sim, int numNodes,
@@ -197,14 +194,8 @@ ClusterArbiter::rebalance()
         ClusterNodeView &view = views_[i];
         view.node = static_cast<int>(i);
         view.assumedCapWatts = st.assumedWatts;
-        view.allocatedWatts = st.reported ? st.last.allocatedWatts : 0.0;
         view.floorWatts = floorWatts;
         view.demand = demandScore(st, now);
-        view.wantedWatts =
-            std::max(floorWatts,
-                     view.allocatedWatts +
-                         cfg_.stepWatts *
-                             std::min(view.demand, kMaxDemandUnits));
         view.frozen = frozen;
     }
 

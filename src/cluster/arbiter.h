@@ -4,11 +4,11 @@
  *
  * The arbiter lives on node group 0's simulator and owns the fleet-wide
  * power cap. Each node group periodically sends a ClusterNodeReport
- * (demand signals from its obs layer: tail latency, queue backlog,
- * budget headroom) over the per-node MessageBus + cross-shard fabric;
- * the arbiter rebalances the cap with a pluggable ClusterPolicy and
- * answers with ClusterGrant messages that retarget each node's local
- * PowerBudget.
+ * (demand signals from its obs layer: tail latency and queue backlog,
+ * plus its effective cap) over the per-node MessageBus + cross-shard
+ * fabric; the arbiter rebalances the cap with a pluggable ClusterPolicy
+ * and answers with ClusterGrant messages that retarget each node's
+ * local PowerBudget.
  *
  * Conservation under loss is the whole design. Reports and grants ride
  * the lossy bus (drops, duplicates, reordering), so the arbiter tracks
@@ -62,8 +62,6 @@ struct ClusterNodeReport
     int node = -1;
     std::uint64_t seq = 0;
 
-    /** Modelled draw committed in the node's local PowerBudget. */
-    double allocatedWatts = 0.0;
     /** The node's effective cap: max(granted target, allocated). */
     double effectiveCapWatts = 0.0;
     /** The cap target the node last applied from a grant. */
@@ -128,12 +126,6 @@ struct ClusterArbiterConfig
      * is halved every this-much age. Zero selects 2x rebalanceInterval.
      */
     SimTime demandHalfLife = SimTime::zero();
-
-    /**
-     * Headroom a node is assumed to absorb per unit of demand when
-     * computing waterfill's wanted level (watts).
-     */
-    double stepWatts = 5.0;
 
     /** Anti-starvation floor as a fraction of the equal share. */
     double floorFraction = 0.25;

