@@ -90,8 +90,13 @@ MultiStageApp::routeToStage(int stageIndex, QueryPtr q)
             bus_->send(report_, std::make_shared<WireStatsMessage>(
                                     encodeStats(statsOf(*q))));
         } else {
+            // The message block comes from the slab, so reporting a
+            // completion allocates nothing once the slab is warm.
             bus_->send(report_,
-                       std::make_shared<QueryCompletedMessage>(q));
+                       std::allocate_shared<QueryCompletedMessage>(
+                           SlabAllocator<QueryCompletedMessage>(
+                               slab_.get()),
+                           std::move(q)));
         }
     }
 }

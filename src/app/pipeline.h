@@ -77,6 +77,13 @@ class MultiStageApp
     void submit(QueryPtr q);
 
     /**
+     * This app's run-scoped query slab: the load generator and the
+     * spray build the app's queries in it, and the completion reports
+     * take their message blocks from it.
+     */
+    QuerySlab &querySlab() { return *slab_; }
+
+    /**
      * Register the command-center endpoint that receives the
      * QueryCompletedMessage for every finished query.
      */
@@ -118,6 +125,7 @@ class MultiStageApp
     Simulator *sim_;
     MessageBus *bus_;
     std::string name_;
+    QuerySlab::Owner slab_ = QuerySlab::create();
     std::vector<std::unique_ptr<Stage>> stages_;
     EndpointId report_ = 0;
     bool wireReports_ = false;

@@ -15,6 +15,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -91,10 +93,10 @@ struct HopRecord
  *
  * The per-hop append on the service hot path writes packed parallel
  * columns (timestamps, stage ids, flags) living in ONE heap slab at
- * computed offsets — a single allocation per query instead of a vector
- * of 64-byte AoS records, and each column write touches contiguous
- * bytes. Full HopRecord structs are materialized only on demand (at
- * completion, for the stats/critpath/audit/codec readers) via row().
+ * computed offsets — one allocation per query slot (kept when a
+ * QuerySlab reuses the slot) instead of a vector of 64-byte AoS
+ * records, and each column write touches contiguous bytes. Readers
+ * take one row at a time, in place, via row().
  */
 class HopColumns
 {
@@ -112,6 +114,17 @@ class HopColumns
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+
+    /** Drop every row, keeping the slab for reuse. */
+    void clear() { size_ = 0; }
+
+    /** Room for @p n rows without a further allocation. */
+    void
+    reserve(std::size_t n)
+    {
+        if (n > cap_)
+            grow(n);
+    }
 
     void
     append(const HopRecord &hop)
@@ -245,9 +258,12 @@ class HopColumns
     std::size_t cap_ = 0;
 };
 
+class QuerySlab;
+
 class Query
 {
   public:
+    /** A standalone query; makeQuery() wraps one in a handle. */
     Query(std::int64_t id, SimTime arrival, std::vector<WorkDemand> demands)
         : id_(id), arrival_(arrival), demands_(std::move(demands)),
           // One hop per stage in the common case; sizing the column
@@ -256,6 +272,9 @@ class Query
           cols_(demands_.size())
     {
     }
+
+    Query(const Query &) = delete;
+    Query &operator=(const Query &) = delete;
 
     std::int64_t id() const { return id_; }
     SimTime arrival() const { return arrival_; }
@@ -268,23 +287,8 @@ class Query
 
     std::size_t numHops() const { return cols_.size(); }
 
-    /**
-     * Hop records materialized from the columns, cached across calls:
-     * the first reader after completion pays one vector build and every
-     * later reader (trace, critpath, codec, stats) shares it. Appends
-     * after a materialization extend the cache incrementally.
-     */
-    const std::vector<HopRecord> &
-    hops() const
-    {
-        if (hopsCache_.size() != cols_.size()) {
-            hopsCache_.reserve(cols_.size());
-            for (std::size_t i = hopsCache_.size(); i < cols_.size();
-                 ++i)
-                hopsCache_.push_back(cols_.row(i));
-        }
-        return hopsCache_;
-    }
+    /** Hop @p i, read in place from the columns (i < numHops()). */
+    HopRecord hop(std::size_t i) const { return cols_.row(i); }
 
     void markCompleted(SimTime t) { completed_ = t; done_ = true; }
     bool completed() const { return done_; }
@@ -292,17 +296,216 @@ class Query
     /** End-to-end response latency; only valid once completed. */
     SimTime endToEnd() const { return completed_ - arrival_; }
 
+    /**
+     * Fan-out bookkeeping: shards of the current fan-out stage still
+     * in service or queued. Set when the stage shards the query and
+     * counted down as shards return.
+     */
+    int outstandingShards() const { return outstandingShards_; }
+    void setOutstandingShards(int n) { outstandingShards_ = n; }
+    /** One shard returned; @return the shards still outstanding. */
+    int shardReturned() { return --outstandingShards_; }
+
   private:
-    std::int64_t id_;
+    friend class QueryPtr;
+    friend class QuerySlab;
+
+    Query() = default;
+
+    /** Reuse this slot for a new query, keeping every capacity. */
+    void reset(std::int64_t id, SimTime arrival,
+               std::span<const WorkDemand> demands);
+
+    /** Drop one handle; the last one recycles or deletes the query. */
+    void release();
+
+    std::int64_t id_ = 0;
     SimTime arrival_;
     SimTime completed_;
     bool done_ = false;
+    int outstandingShards_ = 0;
     std::vector<WorkDemand> demands_;
     HopColumns cols_;
-    mutable std::vector<HopRecord> hopsCache_;
+
+    /** Live handles (QueryPtr) to this query. */
+    int refs_ = 0;
+    /** The slab that recycles this query, or null when standalone. */
+    QuerySlab *slab_ = nullptr;
 };
 
-using QueryPtr = std::shared_ptr<Query>;
+/**
+ * A counted handle to a Query. The count is intrusive, so copying a
+ * handle never allocates; the last handle returns the query to its
+ * slab (or deletes a standalone one). A query and its handles stay on
+ * one thread.
+ */
+class QueryPtr
+{
+  public:
+    QueryPtr() = default;
+    QueryPtr(std::nullptr_t) {}
+    QueryPtr(const QueryPtr &o) : q_(o.q_) { retain(); }
+    QueryPtr(QueryPtr &&o) noexcept : q_(std::exchange(o.q_, nullptr)) {}
+
+    QueryPtr &
+    operator=(QueryPtr o) noexcept
+    {
+        std::swap(q_, o.q_);
+        return *this;
+    }
+
+    ~QueryPtr() { reset(); }
+
+    void
+    reset()
+    {
+        if (Query *q = std::exchange(q_, nullptr))
+            q->release();
+    }
+
+    Query *get() const { return q_; }
+    Query &operator*() const { return *q_; }
+    Query *operator->() const { return q_; }
+    explicit operator bool() const { return q_ != nullptr; }
+
+    friend bool
+    operator==(const QueryPtr &a, const QueryPtr &b)
+    {
+        return a.q_ == b.q_;
+    }
+
+  private:
+    friend class QuerySlab;
+    friend QueryPtr makeQuery(std::int64_t, SimTime,
+                              std::vector<WorkDemand>);
+
+    explicit QueryPtr(Query *q) : q_(q) { retain(); }
+
+    void
+    retain()
+    {
+        if (q_)
+            ++q_->refs_;
+    }
+
+    Query *q_ = nullptr;
+};
+
+/** A standalone heap query, freed with its last handle. */
+QueryPtr makeQuery(std::int64_t id, SimTime arrival,
+                   std::vector<WorkDemand> demands);
+
+/**
+ * A node stack's run-scoped pool of queries and of the fixed-size
+ * blocks their completion messages live in (SlabAllocator).
+ *
+ * make() reuses a released query with its demand and hop-column
+ * capacity, so once the pool has grown to the number of queries in
+ * flight, building, reporting and releasing a query allocates nothing.
+ * Everything the slab handed out counts as live; the slab frees itself
+ * and all it holds once its owner has let go (Owner) and nothing is
+ * live any more, so a handle held by a pending event may outlive the
+ * owning stack safely. One thread uses a slab at a time.
+ */
+class QuerySlab
+{
+  public:
+    struct Retire
+    {
+        void operator()(QuerySlab *slab) const { slab->retire(); }
+    };
+    using Owner = std::unique_ptr<QuerySlab, Retire>;
+
+    static Owner create() { return Owner(new QuerySlab); }
+
+    QuerySlab(const QuerySlab &) = delete;
+    QuerySlab &operator=(const QuerySlab &) = delete;
+
+    /** A query with @p demands copied in, from a free slot if any. */
+    QueryPtr make(std::int64_t id, SimTime arrival,
+                  std::span<const WorkDemand> demands);
+
+    /** Queries and blocks handed out and not yet returned. */
+    std::size_t live() const { return live_; }
+
+    /** Query slots ever built (the pool's high-water mark). */
+    std::size_t slots() const { return slots_.size(); }
+
+    /**
+     * One block of @p bytes, from the free list if any. Every block
+     * of a slab has the same size (one message type uses them).
+     */
+    void *allocateBlock(std::size_t bytes);
+    void deallocateBlock(void *block) noexcept;
+
+  private:
+    friend class Query;
+
+    QuerySlab() = default;
+    ~QuerySlab();
+
+    /** The last handle to @p q is gone: keep the slot for reuse. */
+    void recycle(Query *q) noexcept;
+    /** The owner let go: free now, or when the last live item returns. */
+    void retire() noexcept;
+    void dropLive() noexcept;
+
+    std::vector<std::unique_ptr<Query>> slots_;
+    std::vector<Query *> freeQueries_;
+    std::vector<void *> freeBlocks_;
+    std::size_t blocks_ = 0;
+    std::size_t blockBytes_ = 0;
+    std::size_t live_ = 0;
+    bool retired_ = false;
+};
+
+/**
+ * std::allocate_shared allocator drawing from a QuerySlab's blocks, so
+ * a shared_ptr payload (the completion message) costs no allocation
+ * once the slab has as many blocks as are in flight.
+ */
+template <typename T>
+struct SlabAllocator
+{
+    using value_type = T;
+
+    explicit SlabAllocator(QuerySlab *s) : slab(s) {}
+    template <typename U>
+    SlabAllocator(const SlabAllocator<U> &o) : slab(o.slab)
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(slab->allocateBlock(n * sizeof(T)));
+    }
+
+    void deallocate(T *p, std::size_t) noexcept
+    {
+        slab->deallocateBlock(p);
+    }
+
+    template <typename U>
+    bool
+    operator==(const SlabAllocator<U> &o) const
+    {
+        return slab == o.slab;
+    }
+
+    QuerySlab *slab;
+};
+
+inline void
+Query::release()
+{
+    if (--refs_ > 0)
+        return;
+    if (slab_)
+        slab_->recycle(this);
+    else
+        delete this;
+}
 
 } // namespace pc
 

@@ -196,9 +196,10 @@ ServiceInstance::stealHalfQueue()
 std::vector<PendingQuery>
 ServiceInstance::drainWaiting()
 {
-    std::vector<PendingQuery> all(
-        std::make_move_iterator(queue_.begin()),
-        std::make_move_iterator(queue_.end()));
+    std::vector<PendingQuery> all;
+    all.reserve(queue_.size());
+    for (std::size_t i = 0; i < queue_.size(); ++i)
+        all.push_back(std::move(queue_[i]));
     queue_.clear();
     return all;
 }

@@ -12,13 +12,13 @@
 #ifndef PC_APP_SERVICE_INSTANCE_H
 #define PC_APP_SERVICE_INSTANCE_H
 
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "app/query.h"
+#include "common/ring_queue.h"
 #include "hal/chip.h"
 #include "sim/simulator.h"
 
@@ -152,7 +152,7 @@ class ServiceInstance
     int coreId_;
     CompletionCallback onComplete_;
 
-    std::deque<PendingQuery> queue_;
+    RingQueue<PendingQuery> queue_;
 
     // In-flight service bookkeeping.
     QueryPtr current_;

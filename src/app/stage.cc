@@ -32,6 +32,7 @@ Stage::configureFanOut(int referenceShards, double shardCv,
         fatal("fan-out stage needs a positive reference shard count");
     referenceShards_ = referenceShards;
     shardCv_ = shardCv;
+    shardLognormal_ = LognormalParams(1.0, shardCv_);
     shardRng_ = Rng(seed);
 }
 
@@ -153,7 +154,7 @@ Stage::residentQueries() const
 {
     std::uint64_t resident = holdQueue_.size();
     if (kind_ == StageKind::FanOut)
-        return resident + pendingShards_.size();
+        return resident + fanOutResident_;
     for (const auto &inst : pool_)
         resident += inst->queueLength();
     return resident;
@@ -222,8 +223,10 @@ Stage::submit(QueryPtr q)
 void
 Stage::submitFanOut(QueryPtr q)
 {
-    const auto live = instances();
-    if (live.empty())
+    liveScratch_.clear();
+    liveInstances(liveScratch_);
+    const std::size_t leaves = liveScratch_.size();
+    if (leaves == 0)
         panic("fan-out stage %s has no live instance", name_.c_str());
     if (referenceShards_ <= 0)
         fatal("fan-out stage %s used before configureFanOut()",
@@ -233,18 +236,19 @@ Stage::submitFanOut(QueryPtr q)
     // leaf count; with more (fewer) live leaves each shard shrinks
     // (grows) proportionally.
     const double shardScale = static_cast<double>(referenceShards_) /
-        static_cast<double>(live.size());
+        static_cast<double>(leaves);
 
-    pendingShards_[q->id()] = static_cast<int>(live.size());
+    q->setOutstandingShards(static_cast<int>(leaves));
+    ++fanOutResident_;
     int shardIndex = 0;
-    for (auto *inst : live) {
+    for (auto *inst : liveScratch_) {
         PendingQuery shard;
         shard.query = q;
         shard.enqueued = sim_->now();
         shard.workScale = shardScale *
-            (shardCv_ > 0.0 ? shardRng_.lognormal(1.0, shardCv_) : 1.0);
+            (shardCv_ > 0.0 ? shardRng_.lognormal(shardLognormal_) : 1.0);
         shard.shardIndex = shardIndex++;
-        shard.shardCount = static_cast<int>(live.size());
+        shard.shardCount = static_cast<int>(leaves);
         inst->adopt(std::move(shard));
     }
 }
@@ -305,13 +309,13 @@ Stage::onInstanceComplete(QueryPtr q)
 
     if (kind_ == StageKind::FanOut) {
         // The query leaves the stage only when its last shard returns.
-        auto it = pendingShards_.find(q->id());
-        if (it == pendingShards_.end())
-            panic("fan-out stage %s: completion for unknown query %lld",
+        if (q->outstandingShards() <= 0)
+            panic("fan-out stage %s: completion for query %lld with no "
+                  "shard outstanding",
                   name_.c_str(), static_cast<long long>(q->id()));
-        if (--it->second > 0)
+        if (q->shardReturned() > 0)
             return;
-        pendingShards_.erase(it);
+        --fanOutResident_;
     }
     if (onComplete_)
         onComplete_(std::move(q));

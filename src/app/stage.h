@@ -15,7 +15,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "app/dispatcher.h"
@@ -175,7 +174,8 @@ class Stage
     Telemetry *telemetry_ = nullptr;
     std::vector<std::unique_ptr<ServiceInstance>> pool_;
     int launchCounter_ = 0;
-    /** Reused by submit() so per-query dispatch never allocates. */
+    /** Reused by submit() and submitFanOut() so per-query dispatch
+     *  never allocates. */
     mutable std::vector<ServiceInstance *> liveScratch_;
     /** Queries parked during a crash outage (no live instance). */
     std::vector<PendingQuery> holdQueue_;
@@ -185,8 +185,11 @@ class Stage
     // Fan-out state.
     int referenceShards_ = 0;
     double shardCv_ = 0.0;
+    /** Unit-mean lognormal of shardCv_, computed once. */
+    LognormalParams shardLognormal_;
     Rng shardRng_{0x5eed5eedull};
-    std::unordered_map<std::int64_t, int> pendingShards_;
+    /** Queries sharded here whose last shard has not returned. */
+    std::uint64_t fanOutResident_ = 0;
 };
 
 } // namespace pc

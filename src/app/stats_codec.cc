@@ -13,7 +13,9 @@ statsOf(const Query &query)
     record.completed = query.completed()
         ? query.arrival() + query.endToEnd()
         : query.arrival();
-    record.hops = query.hops();
+    record.hops.reserve(query.numHops());
+    for (std::size_t i = 0; i < query.numHops(); ++i)
+        record.hops.push_back(query.hop(i));
     return record;
 }
 

@@ -64,15 +64,11 @@ struct ClusterNodeReport
 
     /** The node's effective cap: max(granted target, allocated). */
     double effectiveCapWatts = 0.0;
-    /** The cap target the node last applied from a grant. */
-    double targetCapWatts = 0.0;
 
     /** Queries queued (not yet dispatched) across all stages. */
     double queueBacklog = 0.0;
     /** End-to-end p99 over the node's moving window, seconds. */
     double p99Sec = 0.0;
-    /** Queries completed so far (rate context for the backlog). */
-    std::uint64_t completed = 0;
 };
 
 /** Cap retarget sent back to one node; seq orders grant application. */

@@ -11,10 +11,32 @@
 #ifndef PC_COMMON_RNG_H
 #define PC_COMMON_RNG_H
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 
 namespace pc {
+
+/**
+ * The (μ, σ) of a lognormal with a given mean and coefficient of
+ * variation, computed once for a distribution that is drawn from many
+ * times. Drawing with it gives the same values as Rng::lognormal(mean,
+ * cv), which computes the same two expressions on every call.
+ */
+struct LognormalParams
+{
+    LognormalParams() = default;
+
+    LognormalParams(double mean, double cv)
+    {
+        const double sigma2 = std::log(1.0 + cv * cv);
+        mu = std::log(mean) - sigma2 / 2.0;
+        sigma = std::sqrt(sigma2);
+    }
+
+    double mu = 0.0;
+    double sigma = 1.0;
+};
 
 /** A seeded pseudo-random stream with the distributions the sim needs. */
 class Rng
@@ -64,10 +86,14 @@ class Rng
     double
     lognormal(double mean, double cv)
     {
-        const double sigma2 = std::log(1.0 + cv * cv);
-        const double mu = std::log(mean) - sigma2 / 2.0;
-        return std::lognormal_distribution<double>(
-            mu, std::sqrt(sigma2))(engine_);
+        return lognormal(LognormalParams(mean, cv));
+    }
+
+    /** Lognormal with precomputed parameters (see LognormalParams). */
+    double
+    lognormal(const LognormalParams &p)
+    {
+        return std::lognormal_distribution<double>(p.mu, p.sigma)(engine_);
     }
 
     /** Bernoulli draw with probability p of true. */

@@ -31,36 +31,44 @@ BottleneckIdentifier::ensureInstanceTables(std::int32_t local)
 void
 BottleneckIdentifier::observe(SimTime now, const Query &query)
 {
-    observe(now, query.hops());
+    for (std::size_t i = 0; i < query.numHops(); ++i)
+        observeHop(now, query.hop(i));
 }
 
 void
 BottleneckIdentifier::observe(SimTime now,
                               const std::vector<HopRecord> &hops)
 {
-    for (const auto &hop : hops) {
-        // Wasted hops (service aborted by a crash) carry no completed
-        // work; scoring them would inflate the victim stage's delay
-        // with time the re-dispatch already re-charges elsewhere.
-        if (hop.wasted)
-            continue;
-        // One remap lookup resolves every per-instance table.
-        const std::int32_t local = ids_.idFor(hop.instanceId);
-        ensureInstanceTables(local);
-        const auto li = static_cast<std::size_t>(local);
-        perInstance_[li].queuing.add(now, hop.queuing().toSec());
-        perInstance_[li].serving.add(now, hop.serving().toSec());
-        lastReport_[li] = now;
-        reported_[li] = 1;
+    for (const auto &hop : hops)
+        observeHop(now, hop);
+}
 
-        if (hop.stageIndex < 0)
-            continue;
-        const auto s = static_cast<std::size_t>(hop.stageIndex);
-        while (perStage_.size() <= s)
-            perStage_.push_back(InstanceStats(span_));
-        perStage_[s].queuing.add(now, hop.queuing().toSec());
-        perStage_[s].serving.add(now, hop.serving().toSec());
-    }
+void
+BottleneckIdentifier::observeHop(SimTime now, const HopRecord &hop)
+{
+    // Wasted hops (service aborted by a crash) carry no completed
+    // work; scoring them would inflate the victim stage's delay
+    // with time the re-dispatch already re-charges elsewhere.
+    if (hop.wasted)
+        return;
+    // One remap lookup resolves every per-instance table.
+    const std::int32_t local = ids_.idFor(hop.instanceId);
+    ensureInstanceTables(local);
+    const auto li = static_cast<std::size_t>(local);
+    const double queuing = hop.queuing().toSec();
+    const double serving = hop.serving().toSec();
+    perInstance_[li].queuing.add(now, queuing);
+    perInstance_[li].serving.add(now, serving);
+    lastReport_[li] = now;
+    reported_[li] = 1;
+
+    if (hop.stageIndex < 0)
+        return;
+    const auto s = static_cast<std::size_t>(hop.stageIndex);
+    while (perStage_.size() <= s)
+        perStage_.push_back(InstanceStats(span_));
+    perStage_[s].queuing.add(now, queuing);
+    perStage_[s].serving.add(now, serving);
 }
 
 SortedSnapshots

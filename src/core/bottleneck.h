@@ -203,6 +203,8 @@ class BottleneckIdentifier
 
     /** Grow the local-id-indexed tables to cover @p local. */
     void ensureInstanceTables(std::int32_t local);
+    /** Feed one hop record (both observe() forms). */
+    void observeHop(SimTime now, const HopRecord &hop);
 
     SimTime span_;
     std::unique_ptr<BottleneckMetric> metric_;

@@ -188,8 +188,12 @@ class SprayFeed final : public ShardedEngine::Feed
         std::uint64_t delivered = 0;
         for (const ArrivalStream::Arrival *a = reader.next(until);
              a && a->seq < limit; a = reader.next(until)) {
+            // Built here, on the destination's thread, in its own slab.
+            QueryPtr q = app->querySlab().make(a->id, a->t, a->demands);
             sim.scheduleAt(a->t + latency_,
-                           [app, q = a->query()]() { app->submit(q); });
+                           [app, q = std::move(q)]() mutable {
+                               app->submit(std::move(q));
+                           });
             reader.pop();
             ++delivered;
         }
@@ -753,7 +757,8 @@ ExperimentRunner::run(const Scenario &sc,
             if (attribution_)
                 stack.spans.assign(static_cast<std::size_t>(numStages),
                                    StageSpan{});
-            for (const auto &hop : q->hops()) {
+            for (std::size_t i = 0; i < q->numHops(); ++i) {
+                const HopRecord hop = q->hop(i);
                 // Wasted hops (aborted service; faults layer) carry no
                 // latency contribution — the query was re-dispatched
                 // and the replacement hop holds the real split.
@@ -943,8 +948,6 @@ ExperimentRunner::run(const Scenario &sc,
                     report.seq = ++stp->clusterReportSeq;
                     report.effectiveCapWatts =
                         stp->budget->effectiveCap().value();
-                    report.targetCapWatts =
-                        stp->budget->targetCap().value();
                     double backlog = 0.0;
                     for (int s = 0; s < stp->app->numStages(); ++s)
                         backlog += static_cast<double>(
@@ -952,7 +955,6 @@ ExperimentRunner::run(const Scenario &sc,
                     report.queueBacklog = backlog;
                     report.p99Sec =
                         stp->center->latencyWindow().quantile(0.99);
-                    report.completed = stp->app->completed();
                     auto msg =
                         std::make_shared<const ClusterReportMsg>(
                             report);
@@ -1130,6 +1132,10 @@ ExperimentRunner::run(const Scenario &sc,
     // ---- Deterministic merge, groups in fixed index order. ----
 
     ExactPercentile latency;
+    std::size_t latencySamples = 0;
+    for (const auto &st : stacks)
+        latencySamples += st->latency.count();
+    latency.reserve(latencySamples);
     StreamingStats latencyStats;
     std::vector<StreamingStats> queuingByStage(
         static_cast<std::size_t>(numStages));
@@ -1140,7 +1146,7 @@ ExperimentRunner::run(const Scenario &sc,
         NodeStack &st = *stacks[g];
         result.submitted += st.app->submitted();
         result.completed += st.app->completed();
-        latency.merge(std::move(st.latency));
+        latency.merge(st.latency);
         latencyStats.merge(st.latencyStats);
         for (int s = 0; s < numStages; ++s) {
             const auto su = static_cast<std::size_t>(s);
@@ -1162,7 +1168,8 @@ ExperimentRunner::run(const Scenario &sc,
         result.stageBreakdown.push_back(breakdown);
     }
     result.avgLatencySec = latencyStats.mean();
-    result.p99LatencySec = latency.p99();
+    // One quantile of this buffer is read: select it, do not sort.
+    result.p99LatencySec = latency.selectQuantile(0.99);
     result.maxLatencySec = latencyStats.max();
     result.avgPowerWatts = avgPowerSum;
 

@@ -1,6 +1,7 @@
 #include "obs/critpath.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "app/query.h"
@@ -23,13 +24,14 @@ critPathOf(const Query &query)
     // only contribute their lost service time.
     struct StageAcc
     {
-        const HopRecord *crit = nullptr;
+        std::optional<HopRecord> crit;
         double wastedSec = 0.0;
         SimTime lastWastedFinished;
         bool hasWasted = false;
     };
     std::map<int, StageAcc> acc;
-    for (const HopRecord &hop : query.hops()) {
+    for (std::size_t i = 0; i < query.numHops(); ++i) {
+        const HopRecord hop = query.hop(i);
         StageAcc &a = acc[hop.stageIndex];
         if (hop.wasted) {
             a.wastedSec += hop.serving().toSec();
@@ -37,7 +39,7 @@ critPathOf(const Query &query)
                 a.lastWastedFinished = hop.finished;
             a.hasWasted = true;
         } else if (!a.crit || a.crit->finished < hop.finished) {
-            a.crit = &hop;
+            a.crit = hop;
         }
     }
 

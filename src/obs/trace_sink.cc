@@ -94,20 +94,20 @@ TraceSink::recordQueryHops(const Query &query)
 {
     if (!enabled_)
         return;
-    const auto &hops = query.hops();
+    const std::size_t numHops = query.numHops();
     const std::string qid = std::to_string(query.id());
 
     // The flow chain stitches only the hops that contributed to the
     // completion: wasted hops (crash-aborted service) get spans but no
     // arrows, so Perfetto shows one causal chain per query.
     std::vector<std::size_t> flowHops;
-    flowHops.reserve(hops.size());
-    for (std::size_t i = 0; i < hops.size(); ++i)
-        if (!hops[i].wasted)
+    flowHops.reserve(numHops);
+    for (std::size_t i = 0; i < numHops; ++i)
+        if (!query.hop(i).wasted)
             flowHops.push_back(i);
 
-    for (std::size_t i = 0; i < hops.size(); ++i) {
-        const HopRecord &hop = hops[i];
+    for (std::size_t i = 0; i < numHops; ++i) {
+        const HopRecord hop = query.hop(i);
         const auto trackIt = instanceTracks_.find(hop.instanceId);
         int track = kControlTrack;
         if (trackIt == instanceTracks_.end()) {
@@ -156,7 +156,7 @@ TraceSink::recordQueryHops(const Query &query)
     if (flowHops.size() < 2)
         return;
     for (std::size_t k = 0; k < flowHops.size(); ++k) {
-        const HopRecord &hop = hops[flowHops[k]];
+        const HopRecord hop = query.hop(flowHops[k]);
         Event flow;
         flow.track = trackForInstance(hop.instanceId);
         flow.ts = hop.started.toUsec();

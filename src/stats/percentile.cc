@@ -35,15 +35,6 @@ ExactPercentile::merge(const ExactPercentile &other)
     sorted_ = false;
 }
 
-void
-ExactPercentile::merge(ExactPercentile &&other)
-{
-    if (samples_.empty() && &other != this)
-        *this = std::move(other);
-    else
-        merge(other);
-}
-
 double
 ExactPercentile::quantile(double q) const
 {
@@ -60,6 +51,25 @@ ExactPercentile::quantile(double q) const
     const auto hi = static_cast<std::size_t>(std::ceil(rank));
     const double frac = rank - std::floor(rank);
     return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+}
+
+double
+ExactPercentile::selectQuantile(double q) const
+{
+    if (sorted_ || samples_.empty())
+        return quantile(q);
+    if (q < 0.0 || q > 1.0)
+        panic("quantile %f outside [0,1]", q);
+    const double rank = q * static_cast<double>(samples_.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    const double frac = rank - std::floor(rank);
+    const auto at = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(samples_.begin(), at, samples_.end());
+    const double low = *at;
+    const double high = hi == lo ? low : *std::min_element(at + 1,
+                                                           samples_.end());
+    return low * (1.0 - frac) + high * frac;
 }
 
 std::size_t

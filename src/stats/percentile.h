@@ -36,6 +36,16 @@ class ExactPercentile
     double median() const { return quantile(0.5); }
 
     /**
+     * The same value as quantile(@p q), found by selection instead of
+     * a sort: std::nth_element places the low rank, and the high rank
+     * is the minimum of the part above it. O(n) for a reader that
+     * takes one quantile of the buffer; a reader that takes several
+     * should call quantile(), which sorts once. The buffer is left
+     * partitioned, and later calls of either kind still answer exactly.
+     */
+    double selectQuantile(double q) const;
+
+    /**
      * Samples with value <= @p x — the cumulative count behind the
      * histogram bucket serialization (obs/metrics.h).
      */
@@ -47,10 +57,11 @@ class ExactPercentile
      * were split across the sources.
      */
     void merge(const ExactPercentile &other);
-    /** The same, adopting @p other's samples when this holds none. */
-    void merge(ExactPercentile &&other);
 
     void clear();
+
+    /** Room for @p n samples in all. */
+    void reserve(std::size_t n) { samples_.reserve(n); }
 
   private:
     mutable std::vector<double> samples_;

@@ -151,13 +151,6 @@ struct ArrivalStream::Chunk
     std::atomic<Chunk *> next{nullptr};
 };
 
-QueryPtr
-ArrivalStream::Arrival::query() const
-{
-    return std::make_shared<Query>(
-        id, t, std::vector<WorkDemand>(demands.begin(), demands.end()));
-}
-
 ArrivalStream::ArrivalStream(WorkloadModel model, LoadProfile profile,
                              std::uint64_t seed, int refMhz, SimTime from,
                              SimTime until, std::int64_t firstId,
@@ -226,6 +219,12 @@ ArrivalStream::draw()
     if (spare_.empty()) {
         owned_.push_back(std::make_unique<Chunk>());
         chunk = owned_.back().get();
+        // Full size at once: a recycled chunk then never grows.
+        chunk->arrivals.reserve(kChunkArrivals);
+        chunk->demands.reserve(kChunkArrivals * model_.stages().size());
+        chunk->byGroup.resize(route_ ? readers_ : 0);
+        for (std::vector<std::uint32_t> &mine : chunk->byGroup)
+            mine.reserve(kChunkArrivals);
     } else {
         chunk = spare_.back();
         spare_.pop_back();
@@ -366,7 +365,7 @@ LoadGenerator::arrive()
     const ArrivalStream::Arrival &a = *next_;
     ++generated_;
     if (a.group == self_)
-        app_->submit(a.query());
+        app_->submit(app_->querySlab().make(a.id, a.t, a.demands));
     reader_->pop();
     scheduleNext();
 }

@@ -127,9 +127,6 @@ class ArrivalStream
         int group = 0;
         /** One per stage, stored in the chunk. */
         std::span<const WorkDemand> demands;
-
-        /** The Query this arrival submits. */
-        QueryPtr query() const;
     };
 
     /** Picks each arrival's serving group, once per arrival, in draw

@@ -32,11 +32,14 @@ OfflineProfiler::profileStage(const StageProfile &stage,
     // One shared batch of demands: measuring the same queries at every
     // level makes the normalized curve exactly paired.
     Rng rng(seed);
+    const LognormalParams service(stage.meanServiceSec, stage.cv);
     std::vector<WorkDemand> batch;
     batch.reserve(static_cast<std::size_t>(queriesPerLevel_));
     for (int i = 0; i < queriesPerLevel_; ++i)
-        batch.push_back(stage.sample(rng, refMhz));
+        batch.push_back(stage.sample(rng, refMhz, service));
 
+    // Every level reuses the first level's queries.
+    const QuerySlab::Owner slab = QuerySlab::create();
     std::vector<double> meanSec;
     for (int lvl = 0; lvl < ladder.numLevels(); ++lvl) {
         // A throwaway single-core rig per level: the batch runs through
@@ -52,15 +55,13 @@ OfflineProfiler::profileStage(const StageProfile &stage,
         ServiceInstance inst(
             Stage::nextInstanceId(), stage.name + "#prof", 0, &sim, &chip,
             *coreId, [&serving](QueryPtr q) {
-                serving.add(q->hops().back().serving().toSec());
+                serving.add(q->hop(q->numHops() - 1).serving().toSec());
             });
 
-        for (int i = 0; i < queriesPerLevel_; ++i) {
-            inst.enqueue(std::make_shared<Query>(
+        for (int i = 0; i < queriesPerLevel_; ++i)
+            inst.enqueue(slab->make(
                 i + 1, sim.now(),
-                std::vector<WorkDemand>{
-                    batch[static_cast<std::size_t>(i)]}));
-        }
+                std::span(&batch[static_cast<std::size_t>(i)], 1)));
         sim.run();
         if (serving.count() !=
             static_cast<std::uint64_t>(queriesPerLevel_))

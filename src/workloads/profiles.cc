@@ -9,12 +9,19 @@ namespace pc {
 WorkDemand
 StageProfile::sample(Rng &rng, int refMhz) const
 {
+    return sample(rng, refMhz, LognormalParams(meanServiceSec, cv));
+}
+
+WorkDemand
+StageProfile::sample(Rng &rng, int refMhz,
+                     const LognormalParams &service) const
+{
     if (participation < 1.0 && !rng.bernoulli(participation)) {
         WorkDemand skipped;
         skipped.skip = true;
         return skipped;
     }
-    const double total = rng.lognormal(meanServiceSec, cv);
+    const double total = rng.lognormal(service);
     const double cpuAtProfiled = total * computeFraction;
     const double mem = total - cpuAtProfiled;
 
@@ -42,6 +49,9 @@ WorkloadModel::WorkloadModel(std::string name,
 {
     if (stages_.empty())
         fatal("workload '%s' has no stages", name_.c_str());
+    serviceLognormal_.reserve(stages_.size());
+    for (const auto &stage : stages_)
+        serviceLognormal_.emplace_back(stage.meanServiceSec, stage.cv);
 }
 
 const StageProfile &
@@ -65,8 +75,8 @@ void
 WorkloadModel::appendDemands(Rng &rng, int refMhz,
                              std::vector<WorkDemand> *out) const
 {
-    for (const auto &stage : stages_)
-        out->push_back(stage.sample(rng, refMhz));
+    for (std::size_t i = 0; i < stages_.size(); ++i)
+        out->push_back(stages_[i].sample(rng, refMhz, serviceLognormal_[i]));
 }
 
 double

@@ -63,6 +63,11 @@ struct StageProfile
      */
     WorkDemand sample(Rng &rng, int refMhz) const;
 
+    /** The same draw, with the service-time (μ, σ) of
+     *  LognormalParams(meanServiceSec, cv) computed by the caller. */
+    WorkDemand sample(Rng &rng, int refMhz,
+                      const LognormalParams &service) const;
+
     /** Analytic expected service time at frequency @p mhz. */
     double expectedServiceSecAt(int mhz) const;
 };
@@ -81,7 +86,10 @@ class WorkloadModel
     /** Sample the per-stage demands of one query. */
     std::vector<WorkDemand> sampleDemands(Rng &rng, int refMhz) const;
 
-    /** The same draws as sampleDemands(), appended to @p out. */
+    /**
+     * The same draws as sampleDemands(), appended to @p out: the form
+     * for callers that own a reusable buffer.
+     */
     void appendDemands(Rng &rng, int refMhz,
                        std::vector<WorkDemand> *out) const;
 
@@ -125,6 +133,8 @@ class WorkloadModel
   private:
     std::string name_;
     std::vector<StageProfile> stages_;
+    /** Each stage's service-time (μ, σ), computed once. */
+    std::vector<LognormalParams> serviceLognormal_;
 };
 
 } // namespace pc

@@ -146,7 +146,7 @@ TEST_F(IdentifierTest, OldSamplesEvicted)
 TEST_F(IdentifierTest, RealtimeQueueLengthInSnapshot)
 {
     auto *a = app->stage(0).instances()[0];
-    const_cast<ServiceInstance *>(a)->enqueue(std::make_shared<Query>(
+    const_cast<ServiceInstance *>(a)->enqueue(makeQuery(
         99, SimTime::zero(),
         std::vector<WorkDemand>{{10.0, 0.0}, {}}));
     report(a, 0.5, 0.5, SimTime::sec(1));

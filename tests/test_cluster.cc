@@ -152,7 +152,6 @@ report(int node, std::uint64_t seq, double effective, double demand)
     r.node = node;
     r.seq = seq;
     r.effectiveCapWatts = effective;
-    r.targetCapWatts = effective;
     r.queueBacklog = demand;
     r.p99Sec = 0.0;
     return r;

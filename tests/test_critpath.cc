@@ -49,7 +49,7 @@ hop(int stage, double enqSec, double startSec, double finSec)
 QueryPtr
 emptyQuery(int stages)
 {
-    return std::make_shared<Query>(
+    return pc::makeQuery(
         1, SimTime(),
         std::vector<WorkDemand>(static_cast<std::size_t>(stages)));
 }
@@ -179,7 +179,7 @@ TEST(CritPathOf, DominanceTieBreaksTowardLowestStage)
 QueryPtr
 singleStageQuery(std::int64_t id, int stage, double critSec)
 {
-    auto q = std::make_shared<Query>(
+    auto q = pc::makeQuery(
         id, SimTime(),
         std::vector<WorkDemand>(static_cast<std::size_t>(stage + 1)));
     q->addHop(hop(stage, 0.0, 0.0, critSec));
@@ -417,7 +417,7 @@ class CritPathFanOutTest : public testing::Test
     QueryPtr
     makeQuery(std::int64_t id)
     {
-        return std::make_shared<Query>(
+        return pc::makeQuery(
             id, sim.now(),
             std::vector<WorkDemand>{{0.0, 0.4}, {0.0, 0.1}});
     }
@@ -435,11 +435,11 @@ TEST_F(CritPathFanOutTest, HopsCarryShardLinkageAndFrequency)
     app->submit(makeQuery(1));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    const auto &hops = done[0]->hops();
-    ASSERT_EQ(hops.size(), 4u); // 3 shards + agg
+    ASSERT_EQ(done[0]->numHops(), 4u); // 3 shards + agg
 
     std::set<int> shardIndexes;
-    for (const HopRecord &h : hops) {
+    for (std::size_t i = 0; i < done[0]->numHops(); ++i) {
+        const HopRecord h = done[0]->hop(i);
         EXPECT_GT(h.servedMhz, 0);
         EXPECT_FALSE(h.wasted);
         if (h.stageIndex == 0) {
@@ -468,14 +468,15 @@ TEST_F(CritPathFanOutTest, WithdrawReShardsSubsequentQueries)
     app->submit(makeQuery(1));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    const auto &hops = done[0]->hops();
-    ASSERT_EQ(hops.size(), 3u); // 2 shards + agg
+    ASSERT_EQ(done[0]->numHops(), 3u); // 2 shards + agg
     std::set<int> shardIndexes;
-    for (const HopRecord &h : hops)
+    for (std::size_t i = 0; i < done[0]->numHops(); ++i) {
+        const HopRecord h = done[0]->hop(i);
         if (h.stageIndex == 0) {
             EXPECT_EQ(h.shardCount, 2);
             shardIndexes.insert(h.shardIndex);
         }
+    }
     EXPECT_EQ(shardIndexes, (std::set<int>{0, 1}));
     EXPECT_EQ(critPathOf(*done[0]).signature, "s0x2>s1");
 }

@@ -34,7 +34,7 @@ class DispatcherTest : public testing::Test
     preload(ServiceInstance *inst, int queries)
     {
         for (int i = 0; i < queries; ++i) {
-            inst->enqueue(std::make_shared<Query>(
+            inst->enqueue(makeQuery(
                 1000 + i, SimTime::zero(),
                 std::vector<WorkDemand>{{100.0, 0.0}}));
         }

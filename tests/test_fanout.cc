@@ -44,7 +44,7 @@ class FanOutTest : public testing::Test
     makeQuery(std::int64_t id, double leafCpuRef, double leafMem,
               double aggMem = 0.0)
     {
-        return std::make_shared<Query>(
+        return pc::makeQuery(
             id, sim.now(),
             std::vector<WorkDemand>{{leafCpuRef, leafMem},
                                     {0.0, aggMem}});
@@ -67,7 +67,7 @@ TEST_F(FanOutTest, ShardsToEveryLiveInstance)
     sim.run();
     ASSERT_EQ(done.size(), 1u);
     // 4 leaf hops + 1 aggregation hop.
-    EXPECT_EQ(done[0]->hops().size(), 5u);
+    EXPECT_EQ(done[0]->numHops(), 5u);
 }
 
 TEST_F(FanOutTest, CompletesWhenSlowestShardReturns)
@@ -99,7 +99,7 @@ TEST_F(FanOutTest, ShardWorkScalesWithLeafCount)
     app->submit(makeQuery(1, 0.0, 0.5));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_NEAR(done[0]->hops()[0].serving().toSec(), 0.5, 1e-5);
+    EXPECT_NEAR(done[0]->hop(0).serving().toSec(), 0.5, 1e-5);
 
     // Launch two more leaves: scale 2/4 -> serving 0.25 s each.
     app->stage(0).launchInstance(0);
@@ -108,8 +108,8 @@ TEST_F(FanOutTest, ShardWorkScalesWithLeafCount)
     app->submit(makeQuery(2, 0.0, 0.5));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0]->hops().size(), 5u); // 4 shards + agg
-    EXPECT_NEAR(done[0]->hops()[0].serving().toSec(), 0.25, 1e-5);
+    EXPECT_EQ(done[0]->numHops(), 5u); // 4 shards + agg
+    EXPECT_NEAR(done[0]->hop(0).serving().toSec(), 0.25, 1e-5);
 }
 
 TEST_F(FanOutTest, WithdrawnLeafShardRedirects)
@@ -127,8 +127,8 @@ TEST_F(FanOutTest, WithdrawnLeafShardRedirects)
     sim.run();
     // Both queries complete with full shard trails (3 + agg each).
     ASSERT_EQ(done.size(), 2u);
-    EXPECT_EQ(done[0]->hops().size(), 4u);
-    EXPECT_EQ(done[1]->hops().size(), 4u);
+    EXPECT_EQ(done[0]->numHops(), 4u);
+    EXPECT_EQ(done[1]->numHops(), 4u);
 }
 
 TEST_F(FanOutTest, NewQueriesAfterWithdrawFanNarrower)
@@ -140,9 +140,9 @@ TEST_F(FanOutTest, NewQueriesAfterWithdrawFanNarrower)
     app->submit(makeQuery(1, 0.0, 0.4));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0]->hops().size(), 3u); // 2 shards + agg
+    EXPECT_EQ(done[0]->numHops(), 3u); // 2 shards + agg
     // Re-sharding: per-leaf work grew by 3/2.
-    EXPECT_NEAR(done[0]->hops()[0].serving().toSec(), 0.6, 1e-5);
+    EXPECT_NEAR(done[0]->hop(0).serving().toSec(), 0.6, 1e-5);
 }
 
 TEST_F(FanOutTest, ShardJitterIsDeterministicPerSeed)
@@ -160,10 +160,10 @@ TEST_F(FanOutTest, ShardJitterIsDeterministicPerSeed)
         MultiStageApp app(&localSim, &localChip, &localBus, "s",
                           {leaf});
         app.setCompletionSink([&](QueryPtr q) {
-            for (const auto &hop : q->hops())
-                served->push_back(hop.serving().toSec());
+            for (std::size_t i = 0; i < q->numHops(); ++i)
+                served->push_back(q->hop(i).serving().toSec());
         });
-        app.submit(std::make_shared<Query>(
+        app.submit(pc::makeQuery(
             1, localSim.now(),
             std::vector<WorkDemand>{{0.0, 0.5}}));
         localSim.run();
@@ -184,7 +184,7 @@ TEST_F(FanOutTest, SingleLeafDegeneratesToPipeline)
     app->submit(makeQuery(1, 0.0, 0.5));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0]->hops().size(), 2u);
+    EXPECT_EQ(done[0]->numHops(), 2u);
     EXPECT_NEAR(done[0]->endToEnd().toSec(), 0.5, 1e-5);
 }
 
@@ -197,7 +197,7 @@ TEST_F(FanOutTest, WebSearchModelEndToEnd)
     std::uint64_t completions = 0;
     app->setCompletionSink([&](const QueryPtr &q) {
         ++completions;
-        EXPECT_EQ(q->hops().size(), 11u);
+        EXPECT_EQ(q->numHops(), 11u);
     });
     LoadGenerator gen(&sim, app.get(), &search,
                       LoadProfile::constant(20.0), 5,

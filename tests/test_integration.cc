@@ -124,9 +124,10 @@ TEST(Integration, CompletedQueriesHaveFullHopTrail)
     IntegrationRig rig(PolicyKind::PowerChief, 0.8, 9);
     bool allComplete = true;
     rig.app.setCompletionSink([&](const QueryPtr &q) {
-        if (q->hops().size() != 3u)
+        if (q->numHops() != 3u)
             allComplete = false;
-        for (const auto &hop : q->hops()) {
+        for (std::size_t i = 0; i < q->numHops(); ++i) {
+            const HopRecord hop = q->hop(i);
             if (hop.instanceId < 0 ||
                 hop.finished < hop.started ||
                 hop.started < hop.enqueued)
@@ -134,8 +135,8 @@ TEST(Integration, CompletedQueriesHaveFullHopTrail)
         }
         // End-to-end spans at least the sum of hop latencies.
         SimTime hopSum;
-        for (const auto &hop : q->hops())
-            hopSum += (hop.finished - hop.enqueued);
+        for (std::size_t i = 0; i < q->numHops(); ++i)
+            hopSum += q->hop(i).finished - q->hop(i).enqueued;
         if (q->endToEnd() + SimTime::usec(1) < hopSum)
             allComplete = false;
     });

@@ -64,9 +64,9 @@ TEST(Interference, InflatesServiceTime)
     double served = 0;
     ServiceInstance inst(1, "S_1", 0, &sim, &chip, core,
                          [&](QueryPtr q) {
-                             served = q->hops().back().serving().toSec();
+                             served = q->hop(q->numHops() - 1).serving().toSec();
                          });
-    inst.enqueue(std::make_shared<Query>(
+    inst.enqueue(makeQuery(
         1, sim.now(), std::vector<WorkDemand>{{0.0, 1.0}}));
     sim.run();
     // 2 busy neighbours * 0.10 -> 1.2 s instead of 1.0 s.

@@ -222,25 +222,25 @@ TEST(Logger, EmitsTimestampAndLevelPrefix)
 
 // ------------------------------------------------------- trace sink
 
-Query
+QueryPtr
 twoHopQuery(std::int64_t id)
 {
-    Query q(id, SimTime::zero(),
-            std::vector<WorkDemand>{{1.0, 0.0}, {1.0, 0.0}});
+    QueryPtr q = makeQuery(id, SimTime::zero(),
+                           std::vector<WorkDemand>{{1.0, 0.0}, {1.0, 0.0}});
     HopRecord first;
     first.instanceId = 101;
     first.stageIndex = 0;
     first.enqueued = SimTime::sec(1);
     first.started = SimTime::sec(2);
     first.finished = SimTime::sec(3);
-    q.addHop(first);
+    q->addHop(first);
     HopRecord second;
     second.instanceId = 202;
     second.stageIndex = 1;
     second.enqueued = SimTime::sec(3);
     second.started = SimTime::sec(3); // no queue wait at hop 2
     second.finished = SimTime::sec(5);
-    q.addHop(second);
+    q->addHop(second);
     return q;
 }
 
@@ -251,7 +251,7 @@ TEST(TraceSink, DisabledSinkRecordsNothing)
     sink.span(TraceSink::kControlTrack, "s", "c", SimTime::zero(),
               SimTime::sec(1));
     sink.instant(TraceSink::kControlTrack, "i", "c", SimTime::sec(1));
-    sink.recordQueryHops(twoHopQuery(7));
+    sink.recordQueryHops(*twoHopQuery(7));
     EXPECT_EQ(sink.numEvents(), 0u);
 }
 
@@ -268,7 +268,7 @@ TEST(TraceSink, ChromeExportIsWellFormed)
     TraceSink sink(true);
     sink.declareInstanceTrack(101, "QA_1", 0);
     sink.declareInstanceTrack(202, "ASR_1", 1);
-    sink.recordQueryHops(twoHopQuery(7));
+    sink.recordQueryHops(*twoHopQuery(7));
     JsonObject args;
     args["subject"] = JsonValue("QA_1");
     sink.instant(TraceSink::kControlTrack, "freq-boost", "decision",

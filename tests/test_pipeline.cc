@@ -35,7 +35,7 @@ class PipelineTest : public testing::Test
         std::vector<WorkDemand> demands(
             static_cast<std::size_t>(stages),
             WorkDemand{0.0, secPerStage});
-        return std::make_shared<Query>(id, sim.now(), demands);
+        return pc::makeQuery(id, sim.now(), demands);
     }
 
     Simulator sim;
@@ -62,9 +62,9 @@ TEST_F(PipelineTest, QueryFlowsThroughAllStages)
     sim.run();
     ASSERT_TRUE(finished);
     EXPECT_TRUE(finished->completed());
-    ASSERT_EQ(finished->hops().size(), 3u);
+    ASSERT_EQ(finished->numHops(), 3u);
     for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(finished->hops()[static_cast<std::size_t>(i)]
+        EXPECT_EQ(finished->hop(static_cast<std::size_t>(i))
                       .stageIndex, i);
     EXPECT_NEAR(finished->endToEnd().toSec(), 1.5, 1e-6);
 }
@@ -108,7 +108,7 @@ TEST_F(PipelineTest, ReportsToEndpointOnCompletion)
     sim.run();
     ASSERT_EQ(reports.size(), 1u);
     EXPECT_EQ(reports[0]->id(), 7);
-    EXPECT_EQ(reports[0]->hops().size(), 2u);
+    EXPECT_EQ(reports[0]->numHops(), 2u);
 }
 
 TEST_F(PipelineTest, NoReportWithoutEndpoint)
@@ -126,9 +126,9 @@ TEST_F(PipelineTest, SinkSeesQueriesInCompletionOrder)
     app.setCompletionSink(
         [&](QueryPtr q) { order.push_back(q->id()); });
     // Query 2 is shorter and goes to the second (idle) instance.
-    app.submit(std::make_shared<Query>(
+    app.submit(pc::makeQuery(
         1, sim.now(), std::vector<WorkDemand>{{0.0, 1.0}}));
-    app.submit(std::make_shared<Query>(
+    app.submit(pc::makeQuery(
         2, sim.now(), std::vector<WorkDemand>{{0.0, 0.2}}));
     sim.run();
     EXPECT_EQ(order, (std::vector<std::int64_t>{2, 1}));
@@ -151,7 +151,8 @@ TEST_F(PipelineTest, HopTimestampsAreConsistent)
     sim.run();
     ASSERT_TRUE(finished);
     SimTime prev = finished->arrival();
-    for (const auto &hop : finished->hops()) {
+    for (std::size_t i = 0; i < finished->numHops(); ++i) {
+        const HopRecord hop = finished->hop(i);
         EXPECT_GE(hop.enqueued, prev);
         EXPECT_GE(hop.started, hop.enqueued);
         EXPECT_GE(hop.finished, hop.started);
@@ -190,7 +191,7 @@ TEST(PipelineDeath, DemandStageMismatchPanics)
     StageSpec a{"A", 1, 0, DispatchPolicy::JoinShortestQueue};
     StageSpec b{"B", 1, 0, DispatchPolicy::JoinShortestQueue};
     MultiStageApp app(&sim, &chip, &bus, "x", {a, b});
-    auto q = std::make_shared<Query>(
+    auto q = pc::makeQuery(
         1, SimTime::zero(), std::vector<WorkDemand>{{0.1, 0.1}});
     EXPECT_DEATH(app.submit(q), "stage demands");
 }

@@ -135,7 +135,7 @@ TEST_F(PolicyTest, InstanceBoostClonesAndStealsHalf)
     auto bn = addInstance(0, 4, 5.0);
     auto *victim = app->stage(0).findInstance(bn.instanceId);
     for (int i = 0; i < 5; ++i) { // 1 in service + 4 waiting
-        victim->enqueue(std::make_shared<Query>(
+        victim->enqueue(makeQuery(
             i, sim.now(),
             std::vector<WorkDemand>{{50.0, 0.0}, {}}));
     }

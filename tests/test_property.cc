@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "app/service_instance.h"
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "power/budget.h"
 #include "stats/window.h"
@@ -166,7 +167,7 @@ TEST(PropertyQueueing, MM1MeanSojournMatchesTheory)
         const double service = rng.exponential(1.0 / mu);
         sim.scheduleAt(t, [&, i, service]() {
             arrivals[i] = sim.now();
-            inst.enqueue(std::make_shared<Query>(
+            inst.enqueue(makeQuery(
                 i, sim.now(),
                 std::vector<WorkDemand>{{0.0, service}}));
         });
@@ -194,7 +195,7 @@ TEST(PropertyQueueing, UtilizationMatchesRho)
         t += SimTime::sec(rng.exponential(1.0 / lambda));
         const double service = rng.exponential(1.0 / mu);
         sim.scheduleAt(t, [&inst, i, service, &sim]() {
-            inst.enqueue(std::make_shared<Query>(
+            inst.enqueue(makeQuery(
                 i, sim.now(),
                 std::vector<WorkDemand>{{0.0, service}}));
         });
@@ -266,9 +267,9 @@ TEST_P(RescaleFuzz, RandomFrequencyScheduleMatchesReference)
     double served = -1.0;
     ServiceInstance inst(1, "S_1", 0, &sim, &chip, core,
                          [&](QueryPtr q) {
-                             served = q->hops().back().serving().toSec();
+                             served = q->hop(q->numHops() - 1).serving().toSec();
                          });
-    inst.enqueue(std::make_shared<Query>(
+    inst.enqueue(makeQuery(
         1, sim.now(), std::vector<WorkDemand>{demand}));
     for (const auto &[when, level] : changes) {
         sim.scheduleAt(SimTime::sec(when), [&chip, core, level = level]() {
@@ -314,6 +315,41 @@ TEST(PropertyWindow, MatchesNaiveReferenceUnderRandomStream)
         ASSERT_NEAR(window.mean(),
                     sum / static_cast<double>(reference.size()), 1e-9);
         ASSERT_NEAR(window.max(), mx, 1e-12);
+    }
+}
+
+// ------------------------------------------- ring queue vs reference
+
+TEST(PropertyRingQueue, MatchesDequeUnderRandomOperations)
+{
+    // Pushes and pops at both ends, across wrap-around and growth while
+    // wrapped, must keep exactly std::deque's contents.
+    Rng rng(17);
+    RingQueue<int> ring;
+    std::deque<int> reference;
+    for (int i = 0; i < 20000; ++i) {
+        const double u = rng.uniform(0.0, 1.0);
+        if (u < 0.55 || reference.empty()) {
+            ring.push_back(i);
+            reference.push_back(i);
+        } else if (u < 0.9) {
+            ASSERT_EQ(ring.front(), reference.front());
+            ring.pop_front();
+            reference.pop_front();
+        } else {
+            ASSERT_EQ(ring.back(), reference.back());
+            ring.pop_back();
+            reference.pop_back();
+        }
+        ASSERT_EQ(ring.size(), reference.size());
+        if (i % 97 == 0) {
+            for (std::size_t k = 0; k < reference.size(); ++k)
+                ASSERT_EQ(ring[k], reference[k]);
+        }
+        if (i % 5000 == 4999) {
+            ring.clear();
+            reference.clear();
+        }
     }
 }
 

@@ -1,5 +1,8 @@
 /** @file Unit tests for Query, WorkDemand and HopRecord. */
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "app/query.h"
@@ -74,9 +77,9 @@ TEST(Query, HopsAccumulateInOrder)
     second.instanceId = 20;
     q.addHop(first);
     q.addHop(second);
-    ASSERT_EQ(q.hops().size(), 2u);
-    EXPECT_EQ(q.hops()[0].instanceId, 10);
-    EXPECT_EQ(q.hops()[1].instanceId, 20);
+    ASSERT_EQ(q.numHops(), 2u);
+    EXPECT_EQ(q.hop(0).instanceId, 10);
+    EXPECT_EQ(q.hop(1).instanceId, 20);
 }
 
 TEST(Query, EndToEndLatency)
@@ -85,6 +88,74 @@ TEST(Query, EndToEndLatency)
     q.markCompleted(SimTime::sec(10));
     EXPECT_TRUE(q.completed());
     EXPECT_EQ(q.endToEnd(), SimTime::sec(8));
+}
+
+TEST(QuerySlab, ReusedSlotStartsFreshWithItsCapacity)
+{
+    const QuerySlab::Owner slab = QuerySlab::create();
+    const std::vector<WorkDemand> three(3, WorkDemand{1.0, 0.0});
+    const Query *first = nullptr;
+    {
+        QueryPtr q = slab->make(1, SimTime::sec(1), three);
+        first = q.get();
+        for (int i = 0; i < 9; ++i)
+            q->addHop(HopRecord{});
+        q->setOutstandingShards(2);
+        q->markCompleted(SimTime::sec(4));
+        EXPECT_EQ(slab->live(), 1u);
+    }
+    EXPECT_EQ(slab->live(), 0u);
+
+    const std::vector<WorkDemand> one{WorkDemand{0.5, 0.25}};
+    QueryPtr again = slab->make(2, SimTime::sec(7), one);
+    EXPECT_EQ(again.get(), first); // the slot came back
+    EXPECT_EQ(slab->slots(), 1u);
+    EXPECT_EQ(again->id(), 2);
+    EXPECT_EQ(again->arrival(), SimTime::sec(7));
+    EXPECT_EQ(again->numStages(), 1);
+    EXPECT_DOUBLE_EQ(again->demand(0).memSec, 0.25);
+    EXPECT_EQ(again->numHops(), 0u);
+    EXPECT_EQ(again->outstandingShards(), 0);
+    EXPECT_FALSE(again->completed());
+}
+
+TEST(QuerySlab, HandlesCountAndTheLastOneRecycles)
+{
+    const QuerySlab::Owner slab = QuerySlab::create();
+    const std::vector<WorkDemand> one(1);
+    QueryPtr a = slab->make(1, SimTime::zero(), one);
+    QueryPtr b = a;
+    QueryPtr c = std::move(b);
+    EXPECT_FALSE(b);
+    EXPECT_EQ(a, c);
+    a.reset();
+    EXPECT_EQ(slab->live(), 1u);
+    c = nullptr;
+    EXPECT_EQ(slab->live(), 0u);
+}
+
+TEST(QuerySlab, OutlivesItsOwnerWhileAnythingIsLive)
+{
+    // A handle held past the owner (say, by a pending event torn down
+    // after its node stack) keeps the slab; the last release frees it.
+    QuerySlab::Owner slab = QuerySlab::create();
+    QuerySlab *raw = slab.get();
+    const std::vector<WorkDemand> one(1);
+    QueryPtr held = slab->make(1, SimTime::zero(), one);
+    auto block = std::allocate_shared<int>(SlabAllocator<int>(raw), 5);
+    slab.reset();
+    EXPECT_EQ(held->id(), 1);
+    EXPECT_EQ(*block, 5);
+    held.reset();
+    block.reset(); // frees the slab; a leak shows under ASan
+}
+
+TEST(Query, StandaloneHandleOwnsItsQuery)
+{
+    QueryPtr q = makeQuery(3, SimTime::sec(1), {WorkDemand{}});
+    QueryPtr copy = q;
+    q.reset();
+    EXPECT_EQ(copy->id(), 3);
 }
 
 TEST(QueryDeath, DemandIndexOutOfRangePanics)

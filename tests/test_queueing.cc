@@ -87,7 +87,7 @@ TEST(Queueing, TheoryMatchesSimulationMM1)
     ServiceInstance inst(1, "S_1", 0, &sim, &chip, core,
                          [&](QueryPtr q) {
                              sumWait +=
-                                 q->hops().back().queuing().toSec();
+                                 q->hop(q->numHops() - 1).queuing().toSec();
                              ++n;
                          });
     const double lambda = 1.4;
@@ -98,7 +98,7 @@ TEST(Queueing, TheoryMatchesSimulationMM1)
         t += SimTime::sec(rng.exponential(1.0 / lambda));
         const double service = rng.exponential(mean);
         sim.scheduleAt(t, [&inst, &sim, i, service]() {
-            inst.enqueue(std::make_shared<Query>(
+            inst.enqueue(makeQuery(
                 i, sim.now(),
                 std::vector<WorkDemand>{{0.0, service}}));
         });

@@ -13,7 +13,7 @@ namespace {
 QueryPtr
 makeQuery(std::int64_t id, double cpuRef, double mem)
 {
-    return std::make_shared<Query>(
+    return pc::makeQuery(
         id, SimTime::zero(), std::vector<WorkDemand>{{cpuRef, mem}});
 }
 
@@ -52,7 +52,7 @@ TEST_F(InstanceTest, ServesSingleQueryWithExactTiming)
     EXPECT_EQ(inst->queueLength(), 1u);
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    const auto &hop = done[0]->hops().back();
+    const auto &hop = done[0]->hop(done[0]->numHops() - 1);
     EXPECT_EQ(hop.instanceId, 1);
     EXPECT_EQ(hop.queuing(), SimTime::zero());
     EXPECT_NEAR(hop.serving().toSec(), 1.5, 1e-6);
@@ -71,8 +71,8 @@ TEST_F(InstanceTest, FifoOrderAndQueuingTime)
     EXPECT_EQ(done[0]->id(), 1);
     EXPECT_EQ(done[1]->id(), 2);
     EXPECT_EQ(done[2]->id(), 3);
-    EXPECT_NEAR(done[1]->hops().back().queuing().toSec(), 1.5, 1e-6);
-    EXPECT_NEAR(done[2]->hops().back().queuing().toSec(), 3.0, 1e-6);
+    EXPECT_NEAR(done[1]->hop(done[1]->numHops() - 1).queuing().toSec(), 1.5, 1e-6);
+    EXPECT_NEAR(done[2]->hop(done[2]->numHops() - 1).queuing().toSec(), 3.0, 1e-6);
     EXPECT_EQ(sim.now(), SimTime::sec(4.5));
 }
 
@@ -82,7 +82,7 @@ TEST_F(InstanceTest, FasterCoreServesFaster)
     inst->enqueue(makeQuery(1, 1.2, 0.3));
     sim.run();
     // 0.3 + 1.2 * 1200/2400 = 0.9 s.
-    EXPECT_NEAR(done[0]->hops().back().serving().toSec(), 0.9, 2e-6);
+    EXPECT_NEAR(done[0]->hop(done[0]->numHops() - 1).serving().toSec(), 0.9, 2e-6);
 }
 
 TEST_F(InstanceTest, MidServiceFrequencyBoostRescales)
@@ -94,7 +94,7 @@ TEST_F(InstanceTest, MidServiceFrequencyBoostRescales)
                    [&]() { chip.core(coreId).setLevel(12); });
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_NEAR(done[0]->hops().back().serving().toSec(), 1.20, 2e-6);
+    EXPECT_NEAR(done[0]->hop(done[0]->numHops() - 1).serving().toSec(), 1.20, 2e-6);
 }
 
 TEST_F(InstanceTest, MidServiceFrequencyDropRescales)
@@ -105,7 +105,7 @@ TEST_F(InstanceTest, MidServiceFrequencyDropRescales)
     sim.scheduleAt(SimTime::sec(0.45),
                    [&]() { chip.core(coreId).setLevel(0); });
     sim.run();
-    EXPECT_NEAR(done[0]->hops().back().serving().toSec(), 1.20, 2e-6);
+    EXPECT_NEAR(done[0]->hop(done[0]->numHops() - 1).serving().toSec(), 1.20, 2e-6);
 }
 
 TEST_F(InstanceTest, MultipleFrequencyChangesCompose)
@@ -120,7 +120,7 @@ TEST_F(InstanceTest, MultipleFrequencyChangesCompose)
     sim.run();
     // progress after 0.5s @1.2: 1/3. after 0.3s @2.4: +0.3/0.9 = 1/3.
     // remaining 1/3 at 1.2 GHz: 0.5 s -> finish at 1.3 s.
-    EXPECT_NEAR(done[0]->hops().back().serving().toSec(), 1.30, 2e-6);
+    EXPECT_NEAR(done[0]->hop(done[0]->numHops() - 1).serving().toSec(), 1.30, 2e-6);
 }
 
 TEST_F(InstanceTest, FreqChangeWhileIdleIsHarmless)
@@ -170,7 +170,7 @@ TEST_F(InstanceTest, AdoptPreservesEnqueueTimestamp)
     other.adopt(std::move(stolen[0]));
     sim.run();
     ASSERT_EQ(done2.size(), 1u);
-    EXPECT_NEAR(done2[0]->hops().back().queuing().toSec(), 2.0, 1e-6);
+    EXPECT_NEAR(done2[0]->hop(done2[0]->numHops() - 1).queuing().toSec(), 2.0, 1e-6);
 }
 
 TEST_F(InstanceTest, DrainWaitingEmptiesQueueKeepsInFlight)
@@ -222,7 +222,7 @@ TEST_F(InstanceTest, ZeroWorkQueryCompletesImmediately)
     inst->enqueue(makeQuery(1, 0.0, 0.0));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0]->hops().back().serving(), SimTime::zero());
+    EXPECT_EQ(done[0]->hop(done[0]->numHops() - 1).serving(), SimTime::zero());
 }
 
 TEST(InstanceDeath, NullQueryPanics)

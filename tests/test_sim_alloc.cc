@@ -2,12 +2,15 @@
  * @file
  * Allocation accounting for the simulator hot path.
  *
- * The PR-4 perf contract: once the event pool, heap vector and free
- * list have grown to steady state, scheduling, cancelling and
- * dispatching events — including periodic ticks — performs zero heap
- * allocations for callbacks whose captures fit the InplaceFunction
- * inline buffer. This binary replaces the global allocation functions
- * with counting versions to pin that contract.
+ * The core contract: once the event pool, heap vector and free list
+ * have grown to steady state, scheduling, cancelling and dispatching
+ * events — including periodic ticks — performs zero heap allocations
+ * for callbacks whose captures fit the InplaceFunction inline buffer.
+ * The query path above it keeps the same contract: with a warm query
+ * slab, building, fanning out, completing and reporting a query
+ * allocates nothing, and a whole run frees everything it allocated.
+ * This binary replaces the global allocation functions with counting
+ * versions to pin those contracts.
  *
  * Under ASan/TSan the sanitizer runtime owns the allocator, so the
  * counting assertions are skipped there; the plain and Release ctest
@@ -21,10 +24,14 @@
 
 #include <gtest/gtest.h>
 
+#include "app/pipeline.h"
 #include "core/bottleneck.h"
 #include "core/withdraw.h"
+#include "exp/runner.h"
+#include "exp/scenario.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
+#include "workloads/profiles.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define PC_SANITIZED 1
@@ -38,6 +45,16 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_frees{0};
+
+void
+countedFree(void *p) noexcept
+{
+    if (p) {
+        ++g_frees;
+        std::free(p);
+    }
+}
 
 } // namespace
 
@@ -59,10 +76,10 @@ operator new[](std::size_t size)
     throw std::bad_alloc();
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { countedFree(p); }
+void operator delete[](void *p) noexcept { countedFree(p); }
+void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
 
 namespace pc {
 namespace {
@@ -71,6 +88,49 @@ std::uint64_t
 allocationCount()
 {
     return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+freeCount()
+{
+    return g_frees.load(std::memory_order_relaxed);
+}
+
+/** Allocations made by one run, and the queries it completed. */
+struct RunCost
+{
+    std::uint64_t allocations = 0;
+    std::uint64_t completed = 0;
+};
+
+RunCost
+runCost(const Scenario &sc, int workers)
+{
+    ExperimentRunner runner;
+    runner.setShards(workers);
+    const std::uint64_t before = allocationCount();
+    const RunResult r = runner.run(sc);
+    return RunCost{allocationCount() - before, r.completed};
+}
+
+/**
+ * Allocations per completed query once a run is past its warm-up: the
+ * extra allocations of a run @p longer than @p shorter per extra query
+ * it completed. Setup, the merge and teardown cost both runs the same,
+ * so they cancel.
+ */
+double
+allocationsPerQueryAfterWarmup(const Scenario &shorter,
+                               const Scenario &longer, int workers)
+{
+    // The offline profile cache fills on a workload's first run.
+    (void)runCost(shorter, workers);
+    const RunCost a = runCost(shorter, workers);
+    const RunCost b = runCost(longer, workers);
+    EXPECT_GT(b.completed, a.completed);
+    const auto extraAllocs = static_cast<double>(b.allocations) -
+        static_cast<double>(a.allocations);
+    return extraAllocs / static_cast<double>(b.completed - a.completed);
 }
 
 class SimAllocTest : public ::testing::Test
@@ -309,7 +369,7 @@ TEST_F(SimAllocTest, SteadyStateWithdrawScanAllocatesOnlyTheResult)
     const auto occupyAll = [&]() {
         for (int s = 0; s < app.numStages(); ++s)
             for (auto *inst : app.stage(s).instances())
-                inst->enqueue(std::make_shared<Query>(
+                inst->enqueue(makeQuery(
                     nextId++, sim.now(),
                     std::vector<WorkDemand>{{0.9, 0.0}, {0.9, 0.0}}));
     };
@@ -356,7 +416,7 @@ TEST_F(SimAllocTest, SteadyStateStageDispatchIsAllocationFree)
     constexpr int kPerInstance = 8;
     std::vector<QueryPtr> queries;
     for (int i = 0; i < kInstances * (1 + kPerInstance); ++i)
-        queries.push_back(std::make_shared<Query>(
+        queries.push_back(makeQuery(
             i + 1, sim.now(), std::vector<WorkDemand>{{1.0, 0.0}}));
 
     // Warm-up: one query per instance starts its service.
@@ -374,6 +434,107 @@ TEST_F(SimAllocTest, SteadyStateStageDispatchIsAllocationFree)
     for (const ServiceInstance *inst : app.stage(0).instances())
         EXPECT_EQ(inst->waitingCount(),
                   static_cast<std::size_t>(kPerInstance));
+}
+
+TEST_F(SimAllocTest, SteadyStateFanOutQueryPathIsAllocationFree)
+{
+    // Web search: every query fans out to all leaves and is reported
+    // to the command-center endpoint at completion. With the query
+    // slab, the message blocks, the instance queues and the event pool
+    // warm, a query's whole life allocates nothing: built in the slab,
+    // sharded without a hash node or a fresh instance list, completed,
+    // reported in a pooled message and recycled.
+    Simulator sim;
+    const PowerModel model = PowerModel::haswell();
+    CmpChip chip(&sim, &model, 16);
+    MessageBus bus(&sim);
+    const WorkloadModel web = WorkloadModel::webSearch();
+    MultiStageApp app(&sim, &chip, &bus, "websearch",
+                      web.layout(std::vector<int>{4, 2}, 0));
+    std::uint64_t reported = 0;
+    std::uint64_t hops = 0;
+    app.setReportEndpoint(bus.registerEndpoint(
+        "cc", [&](const MessagePtr &msg) {
+            const auto &done =
+                dynamic_cast<const QueryCompletedMessage &>(*msg);
+            ++reported;
+            hops += done.query->numHops();
+        }));
+    Rng rng(11);
+    const int refMhz = model.ladder().freqAt(0).value();
+    std::vector<WorkDemand> demands;
+    std::int64_t nextId = 1;
+    const auto round = [&]() {
+        for (int i = 0; i < 16; ++i) {
+            demands.clear();
+            web.appendDemands(rng, refMhz, &demands);
+            app.submit(app.querySlab().make(nextId++, sim.now(), demands));
+        }
+        sim.run();
+    };
+
+    for (int i = 0; i < 8; ++i)
+        round();
+    const std::uint64_t before = allocationCount();
+    for (int i = 0; i < 64; ++i)
+        round();
+    EXPECT_EQ(allocationCount() - before, 0u);
+    EXPECT_EQ(reported, 72u * 16u);
+    EXPECT_EQ(hops, reported * 5); // 4 leaf shards + the aggregator
+    EXPECT_EQ(app.residentQueries(), 0u);
+    EXPECT_EQ(app.querySlab().live(), 0u);
+    EXPECT_LE(app.querySlab().slots(), 16u);
+}
+
+TEST_F(SimAllocTest, GoldenRunAllocatesOnlyInTheControlTick)
+{
+    // The pinned golden Fig. 11 run against the same scenario at half
+    // its horizon: both are past the 50 s warm-up. Its queries take
+    // seconds, so the 57 extra completions meet 3 extra control ticks,
+    // and the tick still allocates (~38 per interval: the bottleneck
+    // rank and garbage collection, the withdraw scan and the policy's
+    // plan). The query path adds nothing: before the query slab this
+    // read 7.5 per query, 5.5 of them from queries.
+    Scenario shorter = Scenario::goldenFig11();
+    shorter.duration = SimTime::sec(75);
+    const double perQuery = allocationsPerQueryAfterWarmup(
+        shorter, Scenario::goldenFig11(), 1);
+    EXPECT_LE(perQuery, 2.5);
+}
+
+TEST_F(SimAllocTest, ShardedRunAllocatesAlmostNothingPerQuery)
+{
+    // Two node groups with the 15 % spray: the sprayed queries are
+    // built in the destination's slab. Same rate, twice the horizon.
+    const Scenario shorter = Scenario::millionQuery(2, 40000, 10, 5);
+    const Scenario longer = Scenario::millionQuery(2, 80000, 20, 5);
+    const double perQuery =
+        allocationsPerQueryAfterWarmup(shorter, longer, 2);
+    EXPECT_LE(perQuery, 0.05);
+}
+
+TEST_F(SimAllocTest, RunFreesEverythingItAllocated)
+{
+    // The query slabs live and die with their node stacks: a whole run,
+    // at one node group and at two, returns every allocation it made
+    // (the first run of each fills the offline profile cache, which
+    // outlives runs by design).
+    for (const int groups : {1, 2}) {
+        const Scenario sc = Scenario::millionQuery(groups, 20000, 10, 3);
+        ExperimentRunner runner;
+        runner.setShards(groups);
+        (void)runner.run(sc);
+        const std::uint64_t allocs = allocationCount();
+        const std::uint64_t frees = freeCount();
+        std::uint64_t completed = 0;
+        {
+            const RunResult r = runner.run(sc);
+            completed = r.completed;
+        }
+        EXPECT_GT(completed, 10000u);
+        EXPECT_EQ(allocationCount() - allocs, freeCount() - frees)
+            << "at " << groups << " node groups";
+    }
 }
 
 TEST_F(SimAllocTest, OversizedCaptureFallsBackToOneAllocation)

@@ -34,7 +34,7 @@ class SkipTest : public testing::Test
             d.skip = skip;
             demands.push_back(d);
         }
-        return std::make_shared<Query>(id, sim.now(), demands);
+        return pc::makeQuery(id, sim.now(), demands);
     }
 
     Simulator sim;
@@ -50,9 +50,9 @@ TEST_F(SkipTest, MiddleStageSkipped)
     app->submit(makeQuery(1, {false, true, false}));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    ASSERT_EQ(done[0]->hops().size(), 2u);
-    EXPECT_EQ(done[0]->hops()[0].stageIndex, 0);
-    EXPECT_EQ(done[0]->hops()[1].stageIndex, 2);
+    ASSERT_EQ(done[0]->numHops(), 2u);
+    EXPECT_EQ(done[0]->hop(0).stageIndex, 0);
+    EXPECT_EQ(done[0]->hop(1).stageIndex, 2);
     EXPECT_NEAR(done[0]->endToEnd().toSec(), 1.0, 1e-6);
 }
 
@@ -61,7 +61,7 @@ TEST_F(SkipTest, FirstStageSkipped)
     app->submit(makeQuery(1, {true, false, false}));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0]->hops().front().stageIndex, 1);
+    EXPECT_EQ(done[0]->hop(0).stageIndex, 1);
 }
 
 TEST_F(SkipTest, LastStageSkipped)
@@ -69,7 +69,7 @@ TEST_F(SkipTest, LastStageSkipped)
     app->submit(makeQuery(1, {false, false, true}));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0]->hops().back().stageIndex, 1);
+    EXPECT_EQ(done[0]->hop(done[0]->numHops() - 1).stageIndex, 1);
 }
 
 TEST_F(SkipTest, ConsecutiveSkips)
@@ -77,7 +77,7 @@ TEST_F(SkipTest, ConsecutiveSkips)
     app->submit(makeQuery(1, {false, true, true}));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0]->hops().size(), 1u);
+    EXPECT_EQ(done[0]->numHops(), 1u);
 }
 
 TEST_F(SkipTest, AllStagesSkippedCompletesImmediately)
@@ -85,7 +85,7 @@ TEST_F(SkipTest, AllStagesSkippedCompletesImmediately)
     app->submit(makeQuery(1, {true, true, true}));
     sim.run();
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_TRUE(done[0]->hops().empty());
+    EXPECT_TRUE(done[0]->numHops() == 0);
     EXPECT_EQ(done[0]->endToEnd(), SimTime::zero());
     EXPECT_EQ(app->completed(), 1u);
 }
@@ -103,8 +103,7 @@ TEST_F(SkipTest, SkipsReportedToCommandCenter)
     const EndpointId endpoint = bus.registerEndpoint(
         "cc", [&](const MessagePtr &msg) {
             hops = dynamic_cast<const QueryCompletedMessage &>(*msg)
-                       .query->hops()
-                       .size();
+                       .query->numHops();
         });
     app->setReportEndpoint(endpoint);
     app->submit(makeQuery(1, {false, true, false}));
@@ -141,9 +140,9 @@ TEST(SiriusMixed, EndToEndRunWorks)
     std::uint64_t withImm = 0;
     std::uint64_t withoutImm = 0;
     app.setCompletionSink([&](const QueryPtr &q) {
-        if (q->hops().size() == 3)
+        if (q->numHops() == 3)
             ++withImm;
-        else if (q->hops().size() == 2)
+        else if (q->numHops() == 2)
             ++withoutImm;
     });
     LoadGenerator gen(&sim, &app, &mixed, LoadProfile::constant(0.3),

@@ -10,7 +10,7 @@ namespace {
 QueryPtr
 makeQuery(std::int64_t id, double cpuRef = 1.2, double mem = 0.3)
 {
-    return std::make_shared<Query>(
+    return pc::makeQuery(
         id, SimTime::zero(), std::vector<WorkDemand>{{cpuRef, mem}});
 }
 

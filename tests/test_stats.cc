@@ -207,6 +207,53 @@ TEST(ExactPercentile, DuplicatesDominateTheirRankRange)
     EXPECT_DOUBLE_EQ(p.quantile(1.0), 8.0);
 }
 
+TEST(ExactPercentile, SelectedQuantileIsBitEqualToSorted)
+{
+    // selectQuantile() must answer exactly what a sort answers, on
+    // spread-out buffers and on buffers made mostly of repeats, and it
+    // must leave the buffer fit for any later query.
+    Rng rng(0x5e1ec7);
+    static constexpr double kQs[] = {0.0, 0.5, 0.95, 0.99, 1.0};
+    for (int trial = 0; trial < 300; ++trial) {
+        const auto n = static_cast<std::size_t>(rng.uniformInt(1, 2000));
+        const bool repeats = trial % 2 == 1;
+        std::vector<double> values(n);
+        for (double &v : values)
+            v = repeats ? static_cast<double>(rng.uniformInt(0, 4))
+                        : rng.lognormal(1.0, 1.5);
+        for (const double q : kQs) {
+            ExactPercentile sorted;
+            ExactPercentile selected;
+            for (const double v : values) {
+                sorted.add(v);
+                selected.add(v);
+            }
+            const double want = sorted.quantile(q);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(selected.selectQuantile(q)),
+                      std::bit_cast<std::uint64_t>(want))
+                << "n=" << n << " q=" << q << " repeats=" << repeats;
+            // The partitioned buffer still answers everything exactly.
+            const double probe = values[n / 2];
+            EXPECT_EQ(selected.countAtOrBelow(probe),
+                      sorted.countAtOrBelow(probe));
+            const double other = q == 0.5 ? 0.95 : 0.5;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                          selected.selectQuantile(other)),
+                      std::bit_cast<std::uint64_t>(sorted.quantile(other)));
+        }
+        // A second selection on a selected (unsorted) buffer.
+        ExactPercentile twice;
+        for (const double v : values)
+            twice.add(v);
+        (void)twice.selectQuantile(0.99);
+        ExactPercentile fresh;
+        for (const double v : values)
+            fresh.add(v);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(twice.selectQuantile(0.5)),
+                  std::bit_cast<std::uint64_t>(fresh.quantile(0.5)));
+    }
+}
+
 TEST(ExactPercentile, ExtremeQuantilesInterpolate)
 {
     ExactPercentile p;

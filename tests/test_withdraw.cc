@@ -29,7 +29,7 @@ class WithdrawTest : public testing::Test
     occupy(ServiceInstance *inst, double busySec)
     {
         // cpuRef at 1.2 GHz core: serviceSec == cpuSecAtRef.
-        inst->enqueue(std::make_shared<Query>(
+        inst->enqueue(makeQuery(
             nextId++, sim.now(),
             std::vector<WorkDemand>{{busySec, 0.0}}));
     }
