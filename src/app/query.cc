@@ -29,12 +29,6 @@ Query::reset(std::int64_t id, SimTime arrival,
     cols_.reserve(demands_.size());
 }
 
-QueryPtr
-makeQuery(std::int64_t id, SimTime arrival, std::vector<WorkDemand> demands)
-{
-    return QueryPtr(new Query(id, arrival, std::move(demands)));
-}
-
 QuerySlab::~QuerySlab()
 {
     for (void *block : freeBlocks_)

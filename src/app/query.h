@@ -263,7 +263,11 @@ class QuerySlab;
 class Query
 {
   public:
-    /** A standalone query; makeQuery() wraps one in a handle. */
+    /**
+     * A standalone query, for callers that own it outright; no handle
+     * can hold one. Queries that travel a node stack come from a
+     * QuerySlab.
+     */
     Query(std::int64_t id, SimTime arrival, std::vector<WorkDemand> demands)
         : id_(id), arrival_(arrival), demands_(std::move(demands)),
           // One hop per stage in the common case; sizing the column
@@ -316,7 +320,7 @@ class Query
     void reset(std::int64_t id, SimTime arrival,
                std::span<const WorkDemand> demands);
 
-    /** Drop one handle; the last one recycles or deletes the query. */
+    /** Drop one handle; the last one returns the query to its slab. */
     void release();
 
     std::int64_t id_ = 0;
@@ -329,15 +333,15 @@ class Query
 
     /** Live handles (QueryPtr) to this query. */
     int refs_ = 0;
-    /** The slab that recycles this query, or null when standalone. */
+    /** The slab that recycles this query (null when standalone). */
     QuerySlab *slab_ = nullptr;
 };
 
 /**
  * A counted handle to a Query. The count is intrusive, so copying a
  * handle never allocates; the last handle returns the query to its
- * slab (or deletes a standalone one). A query and its handles stay on
- * one thread.
+ * slab, the only place handles come from. A query and its handles stay
+ * on one thread.
  */
 class QueryPtr
 {
@@ -376,8 +380,6 @@ class QueryPtr
 
   private:
     friend class QuerySlab;
-    friend QueryPtr makeQuery(std::int64_t, SimTime,
-                              std::vector<WorkDemand>);
 
     explicit QueryPtr(Query *q) : q_(q) { retain(); }
 
@@ -390,10 +392,6 @@ class QueryPtr
 
     Query *q_ = nullptr;
 };
-
-/** A standalone heap query, freed with its last handle. */
-QueryPtr makeQuery(std::int64_t id, SimTime arrival,
-                   std::vector<WorkDemand> demands);
 
 /**
  * A node stack's run-scoped pool of queries and of the fixed-size
@@ -499,12 +497,8 @@ struct SlabAllocator
 inline void
 Query::release()
 {
-    if (--refs_ > 0)
-        return;
-    if (slab_)
+    if (--refs_ == 0)
         slab_->recycle(this);
-    else
-        delete this;
 }
 
 } // namespace pc

@@ -277,9 +277,24 @@ Stage::allInstances() const
 {
     std::vector<ServiceInstance *> out;
     out.reserve(pool_.size());
+    allInstances(out);
+    return out;
+}
+
+void
+Stage::allInstances(std::vector<ServiceInstance *> &out) const
+{
     for (const auto &inst : pool_)
         out.push_back(inst.get());
-    return out;
+}
+
+std::size_t
+Stage::numLiveInstances() const
+{
+    std::size_t n = 0;
+    for (const auto &inst : pool_)
+        n += inst->draining() ? 0 : 1;
+    return n;
 }
 
 ServiceInstance *
@@ -295,8 +310,9 @@ std::size_t
 Stage::totalQueueLength() const
 {
     std::size_t total = 0;
-    for (const auto *inst : instances())
-        total += inst->queueLength();
+    for (const auto &inst : pool_)
+        if (!inst->draining())
+            total += inst->queueLength();
     return total;
 }
 

@@ -149,9 +149,12 @@ class Stage
     /** All instances including draining ones (for traces). */
     std::vector<ServiceInstance *> allInstances() const;
 
+    /** Append every instance, draining ones included, to @p out. */
+    void allInstances(std::vector<ServiceInstance *> &out) const;
+
     ServiceInstance *findInstance(std::int64_t instanceId) const;
 
-    std::size_t numLiveInstances() const { return instances().size(); }
+    std::size_t numLiveInstances() const;
 
     /** Sum of queue lengths over live instances. */
     std::size_t totalQueueLength() const;

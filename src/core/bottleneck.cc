@@ -1,7 +1,6 @@
 #include "core/bottleneck.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -75,9 +74,20 @@ SortedSnapshots
 BottleneckIdentifier::rank(SimTime now, const MultiStageApp &app)
 {
     SortedSnapshots out;
+    rankInto(now, app, out);
+    return out;
+}
+
+void
+BottleneckIdentifier::rankInto(SimTime now, const MultiStageApp &app,
+                               SortedSnapshots &out)
+{
+    out.clear();
     staleSkips_.clear();
     for (int s = 0; s < app.numStages(); ++s) {
-        for (const auto *inst : app.stage(s).instances()) {
+        instScratch_.clear();
+        app.stage(s).liveInstances(instScratch_);
+        for (const auto *inst : instScratch_) {
             const std::int32_t local = ids_.find(inst->id());
             const bool hasHistory = local != DenseIdMap::kUnknown &&
                 reported_[static_cast<std::size_t>(local)];
@@ -135,7 +145,6 @@ BottleneckIdentifier::rank(SimTime now, const MultiStageApp &app)
                       return a.metric < b.metric;
                   return a.instanceId < b.instanceId;
               });
-    return out;
 }
 
 double
@@ -185,15 +194,21 @@ BottleneckIdentifier::bottleneck(SimTime now, const MultiStageApp &app)
 void
 BottleneckIdentifier::garbageCollect(const MultiStageApp &app)
 {
-    std::unordered_set<std::int64_t> live;
-    for (const auto *inst : app.allInstances())
-        live.insert(inst->id());
+    liveScratch_.assign(perInstance_.size(), 0);
+    for (int s = 0; s < app.numStages(); ++s) {
+        instScratch_.clear();
+        app.stage(s).allInstances(instScratch_);
+        for (const auto *inst : instScratch_) {
+            const std::int32_t local = ids_.find(inst->id());
+            if (local != DenseIdMap::kUnknown &&
+                static_cast<std::size_t>(local) < liveScratch_.size())
+                liveScratch_[static_cast<std::size_t>(local)] = 1;
+        }
+    }
     // Raw ids are never reused, so a dead slot only needs its sample
     // memory released; the local id itself stays allocated.
     for (std::size_t li = 0; li < perInstance_.size(); ++li) {
-        if (!reported_[li])
-            continue;
-        if (live.count(ids_.rawOf(static_cast<std::int32_t>(li))))
+        if (!reported_[li] || liveScratch_[li])
             continue;
         perInstance_[li] = InstanceStats(span_);
         reported_[li] = 0;

@@ -133,6 +133,13 @@ class BottleneckIdentifier
     SortedSnapshots rank(SimTime now, const MultiStageApp &app);
 
     /**
+     * rank() into @p out, reusing its capacity: the per-interval form,
+     * which allocates nothing once @p out has held every instance.
+     */
+    void rankInto(SimTime now, const MultiStageApp &app,
+                  SortedSnapshots &out);
+
+    /**
      * Degraded-telemetry guard: skip from the ranking any instance that
      * has reported at least once but not within @p window — its moving
      * averages are frozen, and boosting/withdrawing on frozen numbers
@@ -186,7 +193,10 @@ class BottleneckIdentifier
     void stageDelayQuantiles(int stage, const double *qs, double *out,
                              std::size_t n) const;
 
-    /** Drop state for instances that no longer exist. */
+    /**
+     * Drop state for instances that no longer exist. Allocates nothing
+     * once the scratch tables cover every instance.
+     */
     void garbageCollect(const MultiStageApp &app);
 
   private:
@@ -226,6 +236,10 @@ class BottleneckIdentifier
     std::vector<InstanceStats> perStage_;
     /** stageDelayQuantiles' serving-window results, reused. */
     mutable std::vector<double> servingQs_;
+
+    // Per-interval scratch reused by rankInto/garbageCollect.
+    std::vector<ServiceInstance *> instScratch_;
+    std::vector<std::uint8_t> liveScratch_; // by local id
 
     // Stale-window guard state.
     SimTime staleWindow_;

@@ -200,7 +200,7 @@ CommandCenter::tick()
         audit_->scorePending(sim_->now(), realized);
     }
 
-    ControlContext ctx;
+    ControlContext &ctx = ctx_;
     ctx.sim = sim_;
     ctx.app = app_;
     ctx.cpufreq = &cpufreq_;
@@ -214,7 +214,8 @@ CommandCenter::tick()
     ctx.telemetry = telemetry_;
     ctx.audit = (audit_ && audit_->enabled()) ? audit_ : nullptr;
     ctx.actuationFailures = actuationFailCounter_;
-    ctx.ranked = identifier_.rank(sim_->now(), *app_);
+    ctx.boostedStages.clear();
+    identifier_.rankInto(sim_->now(), *app_, ctx.ranked);
 
     // Degraded-telemetry accounting: every instance excluded for
     // frozen statistics is counted and audited, so a lossy fabric is

@@ -126,6 +126,11 @@ class CommandCenter
     std::uint64_t observed_ = 0;
     std::uint64_t malformedReports_ = 0;
     std::function<void(const ControlContext &)> intervalCallback_;
+    /**
+     * The context every tick hands the policy, kept across ticks so
+     * the ranking and the boosted-stage list reuse their capacity.
+     */
+    ControlContext ctx_;
 
     // Telemetry instruments, cached at wiring time (null = off).
     Telemetry *telemetry_ = nullptr;

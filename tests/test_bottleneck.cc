@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bottleneck.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -146,7 +147,7 @@ TEST_F(IdentifierTest, OldSamplesEvicted)
 TEST_F(IdentifierTest, RealtimeQueueLengthInSnapshot)
 {
     auto *a = app->stage(0).instances()[0];
-    const_cast<ServiceInstance *>(a)->enqueue(makeQuery(
+    const_cast<ServiceInstance *>(a)->enqueue(testQuery(
         99, SimTime::zero(),
         std::vector<WorkDemand>{{10.0, 0.0}, {}}));
     report(a, 0.5, 0.5, SimTime::sec(1));

@@ -28,6 +28,7 @@
 #include "obs/audit.h"
 #include "obs/critpath.h"
 #include "obs/telemetry.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -49,7 +50,7 @@ hop(int stage, double enqSec, double startSec, double finSec)
 QueryPtr
 emptyQuery(int stages)
 {
-    return pc::makeQuery(
+    return testQuery(
         1, SimTime(),
         std::vector<WorkDemand>(static_cast<std::size_t>(stages)));
 }
@@ -179,7 +180,7 @@ TEST(CritPathOf, DominanceTieBreaksTowardLowestStage)
 QueryPtr
 singleStageQuery(std::int64_t id, int stage, double critSec)
 {
-    auto q = pc::makeQuery(
+    auto q = testQuery(
         id, SimTime(),
         std::vector<WorkDemand>(static_cast<std::size_t>(stage + 1)));
     q->addHop(hop(stage, 0.0, 0.0, critSec));
@@ -417,7 +418,7 @@ class CritPathFanOutTest : public testing::Test
     QueryPtr
     makeQuery(std::int64_t id)
     {
-        return pc::makeQuery(
+        return testQuery(
             id, sim.now(),
             std::vector<WorkDemand>{{0.0, 0.4}, {0.0, 0.1}});
     }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "app/dispatcher.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -34,7 +35,7 @@ class DispatcherTest : public testing::Test
     preload(ServiceInstance *inst, int queries)
     {
         for (int i = 0; i < queries; ++i) {
-            inst->enqueue(makeQuery(
+            inst->enqueue(testQuery(
                 1000 + i, SimTime::zero(),
                 std::vector<WorkDemand>{{100.0, 0.0}}));
         }

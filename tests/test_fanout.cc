@@ -4,6 +4,7 @@
 
 #include "app/pipeline.h"
 #include "workloads/loadgen.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -44,7 +45,7 @@ class FanOutTest : public testing::Test
     makeQuery(std::int64_t id, double leafCpuRef, double leafMem,
               double aggMem = 0.0)
     {
-        return pc::makeQuery(
+        return testQuery(
             id, sim.now(),
             std::vector<WorkDemand>{{leafCpuRef, leafMem},
                                     {0.0, aggMem}});
@@ -163,7 +164,7 @@ TEST_F(FanOutTest, ShardJitterIsDeterministicPerSeed)
             for (std::size_t i = 0; i < q->numHops(); ++i)
                 served->push_back(q->hop(i).serving().toSec());
         });
-        app.submit(pc::makeQuery(
+        app.submit(testQuery(
             1, localSim.now(),
             std::vector<WorkDemand>{{0.0, 0.5}}));
         localSim.run();

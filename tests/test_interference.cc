@@ -5,6 +5,7 @@
 #include "app/service_instance.h"
 #include "exp/runner.h"
 #include "hal/chip.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -66,7 +67,7 @@ TEST(Interference, InflatesServiceTime)
                          [&](QueryPtr q) {
                              served = q->hop(q->numHops() - 1).serving().toSec();
                          });
-    inst.enqueue(makeQuery(
+    inst.enqueue(testQuery(
         1, sim.now(), std::vector<WorkDemand>{{0.0, 1.0}}));
     sim.run();
     // 2 busy neighbours * 0.10 -> 1.2 s instead of 1.0 s.

@@ -11,6 +11,7 @@
 #include "exp/result_cache.h"
 #include "exp/sweep.h"
 #include "obs/telemetry.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -225,7 +226,7 @@ TEST(Logger, EmitsTimestampAndLevelPrefix)
 QueryPtr
 twoHopQuery(std::int64_t id)
 {
-    QueryPtr q = makeQuery(id, SimTime::zero(),
+    QueryPtr q = testQuery(id, SimTime::zero(),
                            std::vector<WorkDemand>{{1.0, 0.0}, {1.0, 0.0}});
     HopRecord first;
     first.instanceId = 101;

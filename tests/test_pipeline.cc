@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "app/pipeline.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -35,7 +36,7 @@ class PipelineTest : public testing::Test
         std::vector<WorkDemand> demands(
             static_cast<std::size_t>(stages),
             WorkDemand{0.0, secPerStage});
-        return pc::makeQuery(id, sim.now(), demands);
+        return testQuery(id, sim.now(), demands);
     }
 
     Simulator sim;
@@ -126,9 +127,9 @@ TEST_F(PipelineTest, SinkSeesQueriesInCompletionOrder)
     app.setCompletionSink(
         [&](QueryPtr q) { order.push_back(q->id()); });
     // Query 2 is shorter and goes to the second (idle) instance.
-    app.submit(pc::makeQuery(
+    app.submit(testQuery(
         1, sim.now(), std::vector<WorkDemand>{{0.0, 1.0}}));
-    app.submit(pc::makeQuery(
+    app.submit(testQuery(
         2, sim.now(), std::vector<WorkDemand>{{0.0, 0.2}}));
     sim.run();
     EXPECT_EQ(order, (std::vector<std::int64_t>{2, 1}));
@@ -191,7 +192,7 @@ TEST(PipelineDeath, DemandStageMismatchPanics)
     StageSpec a{"A", 1, 0, DispatchPolicy::JoinShortestQueue};
     StageSpec b{"B", 1, 0, DispatchPolicy::JoinShortestQueue};
     MultiStageApp app(&sim, &chip, &bus, "x", {a, b});
-    auto q = pc::makeQuery(
+    auto q = testQuery(
         1, SimTime::zero(), std::vector<WorkDemand>{{0.1, 0.1}});
     EXPECT_DEATH(app.submit(q), "stage demands");
 }

@@ -5,6 +5,7 @@
 #include "core/policies.h"
 #include "core/reallocator.h"
 #include "core/speedup.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -135,7 +136,7 @@ TEST_F(PolicyTest, InstanceBoostClonesAndStealsHalf)
     auto bn = addInstance(0, 4, 5.0);
     auto *victim = app->stage(0).findInstance(bn.instanceId);
     for (int i = 0; i < 5; ++i) { // 1 in service + 4 waiting
-        victim->enqueue(makeQuery(
+        victim->enqueue(testQuery(
             i, sim.now(),
             std::vector<WorkDemand>{{50.0, 0.0}, {}}));
     }

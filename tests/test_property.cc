@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "power/budget.h"
 #include "stats/window.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -167,7 +168,7 @@ TEST(PropertyQueueing, MM1MeanSojournMatchesTheory)
         const double service = rng.exponential(1.0 / mu);
         sim.scheduleAt(t, [&, i, service]() {
             arrivals[i] = sim.now();
-            inst.enqueue(makeQuery(
+            inst.enqueue(testQuery(
                 i, sim.now(),
                 std::vector<WorkDemand>{{0.0, service}}));
         });
@@ -195,7 +196,7 @@ TEST(PropertyQueueing, UtilizationMatchesRho)
         t += SimTime::sec(rng.exponential(1.0 / lambda));
         const double service = rng.exponential(1.0 / mu);
         sim.scheduleAt(t, [&inst, i, service, &sim]() {
-            inst.enqueue(makeQuery(
+            inst.enqueue(testQuery(
                 i, sim.now(),
                 std::vector<WorkDemand>{{0.0, service}}));
         });
@@ -269,7 +270,7 @@ TEST_P(RescaleFuzz, RandomFrequencyScheduleMatchesReference)
                          [&](QueryPtr q) {
                              served = q->hop(q->numHops() - 1).serving().toSec();
                          });
-    inst.enqueue(makeQuery(
+    inst.enqueue(testQuery(
         1, sim.now(), std::vector<WorkDemand>{demand}));
     for (const auto &[when, level] : changes) {
         sim.scheduleAt(SimTime::sec(when), [&chip, core, level = level]() {

@@ -150,14 +150,6 @@ TEST(QuerySlab, OutlivesItsOwnerWhileAnythingIsLive)
     block.reset(); // frees the slab; a leak shows under ASan
 }
 
-TEST(Query, StandaloneHandleOwnsItsQuery)
-{
-    QueryPtr q = makeQuery(3, SimTime::sec(1), {WorkDemand{}});
-    QueryPtr copy = q;
-    q.reset();
-    EXPECT_EQ(copy->id(), 3);
-}
-
 TEST(QueryDeath, DemandIndexOutOfRangePanics)
 {
     Query q(7, SimTime::zero(), {WorkDemand{}});

@@ -9,6 +9,7 @@
 #include "core/oracle.h"
 #include "core/queueing.h"
 #include "exp/runner.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -98,7 +99,7 @@ TEST(Queueing, TheoryMatchesSimulationMM1)
         t += SimTime::sec(rng.exponential(1.0 / lambda));
         const double service = rng.exponential(mean);
         sim.scheduleAt(t, [&inst, &sim, i, service]() {
-            inst.enqueue(makeQuery(
+            inst.enqueue(testQuery(
                 i, sim.now(),
                 std::vector<WorkDemand>{{0.0, service}}));
         });

@@ -6,6 +6,7 @@
 
 #include "app/service_instance.h"
 #include "hal/cpufreq.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -13,7 +14,7 @@ namespace {
 QueryPtr
 makeQuery(std::int64_t id, double cpuRef, double mem)
 {
-    return pc::makeQuery(
+    return testQuery(
         id, SimTime::zero(), std::vector<WorkDemand>{{cpuRef, mem}});
 }
 

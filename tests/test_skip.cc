@@ -4,6 +4,7 @@
 
 #include "app/pipeline.h"
 #include "workloads/loadgen.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -34,7 +35,7 @@ class SkipTest : public testing::Test
             d.skip = skip;
             demands.push_back(d);
         }
-        return pc::makeQuery(id, sim.now(), demands);
+        return testQuery(id, sim.now(), demands);
     }
 
     Simulator sim;

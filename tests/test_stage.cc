@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "app/stage.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -10,7 +11,7 @@ namespace {
 QueryPtr
 makeQuery(std::int64_t id, double cpuRef = 1.2, double mem = 0.3)
 {
-    return pc::makeQuery(
+    return testQuery(
         id, SimTime::zero(), std::vector<WorkDemand>{{cpuRef, mem}});
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/withdraw.h"
+#include "test_query_slab.h"
 
 namespace pc {
 namespace {
@@ -29,7 +30,7 @@ class WithdrawTest : public testing::Test
     occupy(ServiceInstance *inst, double busySec)
     {
         // cpuRef at 1.2 GHz core: serviceSec == cpuSecAtRef.
-        inst->enqueue(makeQuery(
+        inst->enqueue(testQuery(
             nextId++, sim.now(),
             std::vector<WorkDemand>{{busySec, 0.0}}));
     }
