@@ -200,8 +200,7 @@ BottleneckIdentifier::garbageCollect(const MultiStageApp &app)
         app.stage(s).allInstances(instScratch_);
         for (const auto *inst : instScratch_) {
             const std::int32_t local = ids_.find(inst->id());
-            if (local != DenseIdMap::kUnknown &&
-                static_cast<std::size_t>(local) < liveScratch_.size())
+            if (local != DenseIdMap::kUnknown)
                 liveScratch_[static_cast<std::size_t>(local)] = 1;
         }
     }
